@@ -497,6 +497,23 @@ fn service_queries(measurements: &mut Vec<Measurement>, seed: u64, ops: u64, gro
     });
 }
 
+const USAGE: &str = "usage: bench_report [--jobs N] [--seed S] [--out PATH] [--full] \
+                     [--stress-jobs N] [--service-ops N] [--service-groups N]";
+
+/// Report a command-line usage error and exit with status 2, as the figure
+/// binaries do: a bad flag is an operator mistake, not a harness bug.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The integer value following `flag`, or a usage error.
+fn integer<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs an integer")))
+}
+
 fn main() {
     // Parsed by hand rather than via `ExperimentArgs::parse`, which
     // rejects flags it does not know — this binary adds `--out`/`--full`.
@@ -509,41 +526,19 @@ fn main() {
     let mut service_groups = SERVICE_GROUPS;
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
-        let mut value = || iter.next();
         match flag.as_str() {
-            "--jobs" => {
-                jobs = value()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--jobs needs an integer");
-            }
-            "--seed" => {
-                seed = value()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer");
-            }
+            "--jobs" => jobs = integer(&flag, iter.next()),
+            "--seed" => seed = integer(&flag, iter.next()),
             "--out" => {
-                out_path = value().expect("--out needs a path");
+                out_path = iter
+                    .next()
+                    .unwrap_or_else(|| usage_error("--out needs a path"));
             }
             "--full" => full = true,
-            "--stress-jobs" => {
-                stress_jobs = value()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--stress-jobs needs an integer");
-            }
-            "--service-ops" => {
-                service_ops = value()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--service-ops needs an integer");
-            }
-            "--service-groups" => {
-                service_groups = value()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--service-groups needs an integer");
-            }
-            other => panic!(
-                "unknown flag {other}; supported: --jobs N, --seed S, --out PATH, \
-                 --full, --stress-jobs N, --service-ops N, --service-groups N"
-            ),
+            "--stress-jobs" => stress_jobs = integer(&flag, iter.next()),
+            "--service-ops" => service_ops = integer(&flag, iter.next()),
+            "--service-groups" => service_groups = integer(&flag, iter.next()),
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
     let sizes = [1_000usize, jobs.max(1_000)];

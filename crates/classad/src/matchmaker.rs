@@ -17,7 +17,7 @@
 //!    exactly, and the per-mask `HasPkgN == true` atoms become the subset
 //!    test. If the texts ever stop lowering — or for arbitrary operator
 //!    `--constrain`/`--rank` expressions — a postfix-interpreter fallback
-//!    ([`Interp`]) is built lazily and evaluated once per *signature*,
+//!    (`Interp`) is built lazily and evaluated once per *signature*,
 //!    never per attempt. Machine-only constraints fold into a static bit
 //!    row at build time; machine-only ranks memoize per pool for the
 //!    matcher's lifetime; demand-reading ranks memoize per (signature,

@@ -12,6 +12,11 @@
 //! atom   := literal | ref | '(' or ')'
 //! ref    := [ ('my'|'other') '.' ] ident
 //! ```
+//!
+//! Nesting is capped at 128 levels — both the parser's own recursion
+//! (parentheses, unary operators) and the height of the tree it builds,
+//! which every later pass walks recursively — so hostile input is a
+//! [`ParseError`], never a stack overflow.
 
 use std::fmt;
 
@@ -97,6 +102,12 @@ pub enum Expr {
     },
 }
 
+/// Deepest nesting `parse` accepts: of parentheses and unary operators,
+/// and of the expression tree. Expressions reach the parser from the
+/// command line (`--constrain`, `--rank`), so recursion over them must be
+/// bounded by the parser rather than by the thread's stack.
+const MAX_DEPTH: usize = 128;
+
 /// A parse failure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
@@ -123,6 +134,10 @@ impl From<LexError> for ParseError {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses and unary operators entered so far.
+    depth: usize,
+    /// Height of the expression the last rule returned.
+    height: usize,
 }
 
 impl Parser {
@@ -147,15 +162,53 @@ impl Parser {
         }
     }
 
+    /// Run `rule` one recursion level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        rule: fn(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(too_deep());
+        }
+        self.depth += 1;
+        let expr = rule(self);
+        self.depth -= 1;
+        expr
+    }
+
+    /// Record that the expression being built is `height` tall, refusing
+    /// past [`MAX_DEPTH`].
+    fn grow(&mut self, height: usize) -> Result<(), ParseError> {
+        self.height = height;
+        if height > MAX_DEPTH {
+            return Err(too_deep());
+        }
+        Ok(())
+    }
+
+    /// `lhs op rhs`, where `lhs_height` is the left operand's height and
+    /// the right operand was the last expression parsed.
+    fn binary(
+        &mut self,
+        op: BinOp,
+        lhs: Expr,
+        lhs_height: usize,
+        rhs: Expr,
+    ) -> Result<Expr, ParseError> {
+        self.grow(lhs_height.max(self.height) + 1)?;
+        Ok(Expr::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        })
+    }
+
     fn or(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.and()?;
         while self.eat(&Token::OrOr) {
+            let lhs_height = self.height;
             let rhs = self.and()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(BinOp::Or, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -163,12 +216,9 @@ impl Parser {
     fn and(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.cmp()?;
         while self.eat(&Token::AndAnd) {
+            let lhs_height = self.height;
             let rhs = self.cmp()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(BinOp::And, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -185,12 +235,9 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.pos += 1;
+        let lhs_height = self.height;
         let rhs = self.sum()?;
-        Ok(Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        })
+        self.binary(op, lhs, lhs_height, rhs)
     }
 
     fn sum(&mut self) -> Result<Expr, ParseError> {
@@ -202,12 +249,9 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            let lhs_height = self.height;
             let rhs = self.term()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(op, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -221,39 +265,35 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            let lhs_height = self.height;
             let rhs = self.unary()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(op, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&Token::Bang) {
-            return Ok(Expr::Unary {
-                logical: true,
-                expr: Box::new(self.unary()?),
-            });
-        }
-        if self.eat(&Token::Minus) {
-            return Ok(Expr::Unary {
-                logical: false,
-                expr: Box::new(self.unary()?),
-            });
-        }
-        self.atom()
+        let logical = if self.eat(&Token::Bang) {
+            true
+        } else if self.eat(&Token::Minus) {
+            false
+        } else {
+            return self.atom();
+        };
+        let expr = Box::new(self.nested(Self::unary)?);
+        self.grow(self.height + 1)?;
+        Ok(Expr::Unary { logical, expr })
     }
 
     fn atom(&mut self) -> Result<Expr, ParseError> {
+        // A leaf; a parenthesized expression overwrites this with its own.
+        self.height = 1;
         match self.next() {
             Some(Token::Int(i)) => Ok(Expr::Int(i)),
             Some(Token::Float(x)) => Ok(Expr::Float(x)),
             Some(Token::Str(s)) => Ok(Expr::Str(s)),
             Some(Token::LParen) => {
-                let e = self.or()?;
+                let e = self.nested(Self::or)?;
                 if !self.eat(&Token::RParen) {
                     return Err(ParseError {
                         message: "expected ')'".into(),
@@ -298,6 +338,12 @@ impl Parser {
     }
 }
 
+fn too_deep() -> ParseError {
+    ParseError {
+        message: format!("expression nests deeper than {MAX_DEPTH} levels"),
+    }
+}
+
 /// Parse an expression string.
 pub fn parse(input: &str) -> Result<Expr, ParseError> {
     let tokens = lex(input)?;
@@ -306,7 +352,12 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
             message: "empty expression".into(),
         });
     }
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        height: 0,
+    };
     let expr = p.or()?;
     if p.pos != p.tokens.len() {
         return Err(ParseError {
@@ -401,6 +452,39 @@ mod tests {
         assert!(parse("(1").is_err());
         assert!(parse("1 2").unwrap_err().message.contains("trailing"));
         assert!(parse("my.").is_err());
+    }
+
+    fn parens(depth: usize) -> String {
+        format!("{}1{}", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    /// `1 + 1 + ...` with `terms` operands: a left-deep tree `terms` tall
+    /// (the leaf counts as one level).
+    fn chain(terms: usize) -> String {
+        vec!["1"; terms].join(" + ")
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // 5,000 parentheses: a 10 KB string that used to abort the process.
+        let err = parse(&parens(5_000)).unwrap_err();
+        assert!(err.message.contains("nests deeper"), "{err}");
+        assert!(parse(&"!".repeat(5_000)).is_err());
+        assert!(parse(&format!("{}1", "-".repeat(5_000))).is_err());
+        // A flat chain parses iteratively but builds a 5,000-deep tree,
+        // which compilation and evaluation would recurse through.
+        assert!(parse(&chain(5_000)).is_err());
+        assert!(parse(&parens(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&chain(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&format!("!{}", parens(MAX_DEPTH))).is_err());
+    }
+
+    #[test]
+    fn nesting_at_the_limit_still_parses() {
+        assert_eq!(parse(&parens(MAX_DEPTH)), Ok(Expr::Int(1)));
+        assert!(parse(&format!("{}x", "!".repeat(MAX_DEPTH - 1))).is_ok());
+        assert!(parse(&chain(MAX_DEPTH)).is_ok());
+        assert!(parse(&format!("({}) && x", chain(MAX_DEPTH - 1))).is_ok());
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! handful of distinct capacities — which matters because the simulator
 //! retries the queue head on every completion event.
 //!
-//! Three hot-path caches keep the per-event cost flat over a full trace:
+//! There is one allocation path. A pool is eligible when its capacity
+//! satisfies the demand *and* a [`PoolMatcher`] accepts it; native
+//! capacity matching is the [`crate::MatchAll`] instantiation, statically
+//! dispatched, so `try_allocate` and the counting queries are one-line
+//! calls into their `_matched` counterparts. Two precomputations keep the
+//! per-event cost flat over a full trace:
 //!
-//! - a `MemIndex`: cumulative free/online node counts indexed by the
-//!   memory-capacity ladder, maintained incrementally on every
-//!   allocate/release/churn, so the memory-only candidate counts the
-//!   simulator asks for on each (re)admission are an O(log #rungs) lookup
-//!   instead of a pool scan with full `satisfies` checks;
-//! - the pool visitation order for each [`MatchPolicy`], precomputed at
-//!   construction, so `try_allocate` never allocates or sorts;
+//! - the pool visitation order for each [`MatchPolicy`], fixed at
+//!   construction, so allocation never sorts unless a matcher ranks;
 //! - per-pool grant counts inside each [`Allocation`], so
 //!   weakest-node/package/eligibility queries about a running job cost
 //!   O(pools spanned) instead of O(nodes granted).
@@ -22,7 +22,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::ladder::CapacityLadder;
-use crate::matchmaking::PoolMatcher;
+use crate::matchmaking::{MatchAll, PoolMatcher};
 use crate::resources::{Capacity, Demand};
 
 /// Index of a node within its cluster.
@@ -96,59 +96,6 @@ impl Allocation {
     }
 }
 
-/// Cumulative candidate counts over the memory-capacity ladder.
-///
-/// `free_at_least[r]` (resp. `online_at_least[r]`) is the number of free
-/// (resp. online, i.e. free-or-busy) nodes in pools whose memory is at
-/// least `rungs[r]`. A memory-only demand's candidate count is then a
-/// binary search plus one array read; the arrays are patched incrementally
-/// — O(#rungs) per pool-level batch — wherever nodes change state.
-#[derive(Debug, Clone)]
-struct MemIndex {
-    /// Distinct pool memory capacities, ascending.
-    rungs: Vec<u64>,
-    free_at_least: Vec<u32>,
-    online_at_least: Vec<u32>,
-}
-
-impl MemIndex {
-    fn add_free(&mut self, rung: usize, delta: i64) {
-        for slot in &mut self.free_at_least[..=rung] {
-            *slot = (*slot as i64 + delta) as u32;
-        }
-    }
-
-    fn add_online(&mut self, rung: usize, delta: i64) {
-        for slot in &mut self.online_at_least[..=rung] {
-            *slot = (*slot as i64 + delta) as u32;
-        }
-    }
-
-    fn at_least(arr: &[u32], rungs: &[u64], mem_kb: u64) -> u32 {
-        let r = rungs.partition_point(|&m| m < mem_kb);
-        if r == rungs.len() {
-            0
-        } else {
-            arr[r]
-        }
-    }
-
-    fn free_at_least(&self, mem_kb: u64) -> u32 {
-        Self::at_least(&self.free_at_least, &self.rungs, mem_kb)
-    }
-
-    fn online_at_least(&self, mem_kb: u64) -> u32 {
-        Self::at_least(&self.online_at_least, &self.rungs, mem_kb)
-    }
-}
-
-/// True when `demand` constrains memory only, so `Capacity::satisfies`
-/// degenerates to a memory threshold and the [`MemIndex`] answers exactly.
-#[inline]
-fn mem_only(demand: &Demand) -> bool {
-    demand.disk_kb == 0 && demand.packages == 0
-}
-
 /// Bit `i` of a pool-index bitset as handed out by
 /// [`PoolMatcher::eligible_pools`]; words beyond the slice read as zero.
 #[inline]
@@ -178,10 +125,6 @@ pub struct Cluster {
     /// departed.
     occupant: Vec<u64>,
     free_count: u32,
-    /// Ladder rung index of each pool's memory capacity.
-    pool_rung: Vec<u16>,
-    /// Incremental candidate counts for memory-only demands.
-    mem_index: MemIndex,
     /// Pool visitation order per match policy, fixed at construction.
     /// Stable-sorted with the same keys the old per-call sort used, so
     /// node selection is bit-identical.
@@ -191,8 +134,8 @@ pub struct Cluster {
     /// Retired allocation buffers, reused by the next `try_allocate` so a
     /// steady-state simulation allocates no fresh vectors per execution.
     spare: Vec<SpareBuffers>,
-    /// Candidate-pool scratch for `try_allocate_matched`, reused across
-    /// calls for the same reason as `spare`.
+    /// Candidate-pool scratch for allocation, reused across calls for the
+    /// same reason as `spare`.
     match_scratch: Vec<(u16, f64)>,
 }
 
@@ -223,29 +166,6 @@ impl Cluster {
                 total: count,
             });
         }
-        let mut rungs: Vec<u64> = pools.iter().map(|p| p.capacity.mem_kb).collect();
-        rungs.sort_unstable();
-        rungs.dedup();
-        let pool_rung: Vec<u16> = pools
-            .iter()
-            .map(|p| {
-                rungs
-                    .binary_search(&p.capacity.mem_kb)
-                    .expect("invariant: rungs was built from these same pool capacities")
-                    as u16
-            })
-            .collect();
-        let mut free_at_least = vec![0u32; rungs.len()];
-        for (pi, p) in pools.iter().enumerate() {
-            for slot in &mut free_at_least[..=pool_rung[pi] as usize] {
-                *slot += p.total;
-            }
-        }
-        let mem_index = MemIndex {
-            online_at_least: free_at_least.clone(),
-            free_at_least,
-            rungs,
-        };
         let order_first: Vec<u16> = (0..pools.len() as u16).collect();
         let mut order_best = order_first.clone();
         order_best.sort_by_key(|&i| {
@@ -262,8 +182,6 @@ impl Cluster {
             node_pool,
             occupant: vec![FREE_TOKEN; total as usize],
             free_count: total,
-            pool_rung,
-            mem_index,
             order_first,
             order_best,
             order_worst,
@@ -290,47 +208,20 @@ impl Cluster {
         self.total_nodes() - self.free_count
     }
 
-    /// Free nodes whose capacity satisfies `demand`. Memory-only demands
-    /// (the simulator's case) are answered from the incremental
-    /// `MemIndex`; anything constraining disk or packages falls back to
-    /// the pool scan.
+    /// Free nodes whose capacity satisfies `demand`:
+    /// [`Cluster::free_nodes_satisfying_matched`] under [`MatchAll`].
     #[inline]
     pub fn free_nodes_satisfying(&self, demand: &Demand) -> u32 {
-        if mem_only(demand) {
-            let fast = self.mem_index.free_at_least(demand.mem_kb);
-            debug_assert_eq!(fast, self.free_nodes_satisfying_scan(demand));
-            return fast;
-        }
-        self.free_nodes_satisfying_scan(demand)
-    }
-
-    fn free_nodes_satisfying_scan(&self, demand: &Demand) -> u32 {
-        self.pools
-            .iter()
-            .filter(|p| p.capacity.satisfies(demand))
-            .map(|p| p.free.len() as u32)
-            .sum()
+        self.free_nodes_satisfying_matched(demand, &mut MatchAll)
     }
 
     /// Currently *online* nodes (free or busy) whose capacity satisfies
     /// `demand` — the job's candidate-machine count, the quantity the
-    /// paper's Figure 8 analysis counts for "benefiting" jobs.
+    /// paper's Figure 8 analysis counts for "benefiting" jobs:
+    /// [`Cluster::nodes_satisfying_matched`] under [`MatchAll`].
     #[inline]
     pub fn nodes_satisfying(&self, demand: &Demand) -> u32 {
-        if mem_only(demand) {
-            let fast = self.mem_index.online_at_least(demand.mem_kb);
-            debug_assert_eq!(fast, self.nodes_satisfying_scan(demand));
-            return fast;
-        }
-        self.nodes_satisfying_scan(demand)
-    }
-
-    fn nodes_satisfying_scan(&self, demand: &Demand) -> u32 {
-        self.pools
-            .iter()
-            .filter(|p| p.capacity.satisfies(demand))
-            .map(|p| p.total - p.offline.len() as u32)
-            .sum()
+        self.nodes_satisfying_matched(demand, &mut MatchAll)
     }
 
     /// Nodes currently offline (dynamically departed).
@@ -349,7 +240,6 @@ impl Cluster {
             if self.pools[pi].capacity.mem_kb != mem_kb {
                 continue;
             }
-            let mut here: u32 = 0;
             while taken < count {
                 let pool = &mut self.pools[pi];
                 match pool.free.pop() {
@@ -357,15 +247,9 @@ impl Cluster {
                         self.occupant[id as usize] = OFFLINE_TOKEN;
                         pool.offline.push(id);
                         taken += 1;
-                        here += 1;
                     }
                     None => break,
                 }
-            }
-            if here > 0 {
-                let rung = self.pool_rung[pi] as usize;
-                self.mem_index.add_free(rung, -(here as i64));
-                self.mem_index.add_online(rung, -(here as i64));
             }
             if taken == count {
                 break;
@@ -383,7 +267,6 @@ impl Cluster {
             if self.pools[pi].capacity.mem_kb != mem_kb {
                 continue;
             }
-            let mut here: u32 = 0;
             while restored < count {
                 let pool = &mut self.pools[pi];
                 match pool.offline.pop() {
@@ -392,15 +275,9 @@ impl Cluster {
                         self.occupant[id as usize] = FREE_TOKEN;
                         pool.free.push(id);
                         restored += 1;
-                        here += 1;
                     }
                     None => break,
                 }
-            }
-            if here > 0 {
-                let rung = self.pool_rung[pi] as usize;
-                self.mem_index.add_free(rung, here as i64);
-                self.mem_index.add_online(rung, here as i64);
             }
             if restored == count {
                 break;
@@ -425,7 +302,8 @@ impl Cluster {
 
     /// Try to allocate `count` nodes, each satisfying `demand`, recording
     /// `token` as their occupant. Returns `None` — allocating nothing — when
-    /// fewer than `count` eligible nodes are free.
+    /// fewer than `count` eligible nodes are free. This is
+    /// [`Cluster::try_allocate_matched`] under [`MatchAll`].
     pub fn try_allocate(
         &mut self,
         count: u32,
@@ -433,49 +311,7 @@ impl Cluster {
         policy: MatchPolicy,
         token: u64,
     ) -> Option<Allocation> {
-        assert!(token < FREE_TOKEN, "tokens above u64::MAX - 2 are reserved");
-        if count == 0 {
-            return Some(Allocation {
-                nodes: Vec::new(),
-                per_pool: Vec::new(),
-                token,
-            });
-        }
-        if self.free_nodes_satisfying(demand) < count {
-            return None;
-        }
-        // The pool visit orders are precomputed at construction (pools never
-        // change capacity); ineligible pools are skipped in-line, which yields
-        // the same sequence a filter-then-sort of eligible pools would.
-        let (mut nodes, mut per_pool) = self.spare.pop().unwrap_or_default();
-        nodes.reserve(count as usize);
-        let mut remaining = count;
-        for oi in 0..self.pools.len() {
-            let pi = match policy {
-                MatchPolicy::FirstFit => self.order_first[oi],
-                MatchPolicy::BestFit => self.order_best[oi],
-                MatchPolicy::WorstFit => self.order_worst[oi],
-            } as usize;
-            if !self.pools[pi].capacity.satisfies(demand) {
-                continue;
-            }
-            let here = remaining.min(self.pools[pi].free.len() as u32);
-            if here == 0 {
-                continue;
-            }
-            self.take_block(pi, here, token, &mut nodes, &mut per_pool);
-            remaining -= here;
-            if remaining == 0 {
-                break;
-            }
-        }
-        debug_assert_eq!(remaining, 0, "availability was pre-checked");
-        self.free_count -= count;
-        Some(Allocation {
-            nodes,
-            per_pool,
-            token,
-        })
+        self.try_allocate_matched(count, demand, policy, token, &mut MatchAll)
     }
 
     /// Claim the top `here` nodes of pool `pi`'s free stack for `token`,
@@ -507,27 +343,25 @@ impl Cluster {
         }
         self.pools[pi].free.truncate(start);
         per_pool.push((pi as u16, here));
-        self.mem_index
-            .add_free(self.pool_rung[pi] as usize, -(here as i64));
     }
 
-    /// [`Cluster::try_allocate`] with a [`PoolMatcher`] intersected into
-    /// pool eligibility: a pool is a candidate only when its capacity
-    /// satisfies `demand` *and* the matcher accepts it. When the matcher
-    /// ranks, candidates are reordered by descending rank (stable, so ties
-    /// keep `policy` order) before nodes are drawn; otherwise pure policy
-    /// order is kept and — for a matcher accepting every pool — the result
-    /// is bit-identical to the native path.
+    /// The allocator. Try to allocate `count` nodes from pools whose
+    /// capacity satisfies `demand` *and* which `matcher` accepts, recording
+    /// `token` as their occupant; `None` — allocating nothing — when fewer
+    /// than `count` such nodes are free. Candidates are visited in `policy`
+    /// order; when the matcher ranks, they are reordered by descending rank
+    /// (stable, so ties keep `policy` order) before nodes are drawn from
+    /// the top of each pool's free stack.
     ///
     /// The caller is expected to have [`PoolMatcher::prepare`]d the matcher
     /// for `demand`.
-    pub fn try_allocate_matched(
+    pub fn try_allocate_matched<M: PoolMatcher + ?Sized>(
         &mut self,
         count: u32,
         demand: &Demand,
         policy: MatchPolicy,
         token: u64,
-        matcher: &mut dyn PoolMatcher,
+        matcher: &mut M,
     ) -> Option<Allocation> {
         assert!(token < FREE_TOKEN, "tokens above u64::MAX - 2 are reserved");
         if count == 0 {
@@ -595,55 +429,52 @@ impl Cluster {
     }
 
     /// Free nodes in pools that satisfy `demand` *and* are accepted by
-    /// `matcher` — the matched counterpart of
-    /// [`Cluster::free_nodes_satisfying`]. The caller is expected to have
-    /// [`PoolMatcher::prepare`]d the matcher for `demand`.
-    ///
-    /// When the matcher exposes a precomputed eligibility bitset
-    /// ([`PoolMatcher::eligible_pools`]) the walk tests bits locally —
-    /// one virtual call per *count* instead of one per pool.
-    pub fn free_nodes_satisfying_matched(
+    /// `matcher`. The caller is expected to have [`PoolMatcher::prepare`]d
+    /// the matcher for `demand`.
+    pub fn free_nodes_satisfying_matched<M: PoolMatcher + ?Sized>(
         &self,
         demand: &Demand,
-        matcher: &mut dyn PoolMatcher,
+        matcher: &mut M,
     ) -> u32 {
-        if let Some(bits) = matcher.eligible_pools() {
-            return self
-                .pools
-                .iter()
-                .enumerate()
-                .filter(|(pi, p)| pool_bit(bits, *pi) && p.capacity.satisfies(demand))
-                .map(|(_, p)| p.free.len() as u32)
-                .sum();
-        }
-        self.pools
-            .iter()
-            .enumerate()
-            .filter(|(pi, p)| p.capacity.satisfies(demand) && matcher.matches(*pi, &p.capacity))
-            .map(|(_, p)| p.free.len() as u32)
-            .sum()
+        let free = self.pools.iter().map(|p| p.free.len() as u32);
+        self.count_eligible(demand, matcher, free.enumerate())
     }
 
     /// Online (free or busy) nodes in pools that satisfy `demand` *and* are
-    /// accepted by `matcher` — the matched counterpart of
-    /// [`Cluster::nodes_satisfying`], used for admission feasibility. The
-    /// caller is expected to have [`PoolMatcher::prepare`]d the matcher for
-    /// `demand`.
-    pub fn nodes_satisfying_matched(&self, demand: &Demand, matcher: &mut dyn PoolMatcher) -> u32 {
+    /// accepted by `matcher`, used for admission feasibility. The caller is
+    /// expected to have [`PoolMatcher::prepare`]d the matcher for `demand`.
+    pub fn nodes_satisfying_matched<M: PoolMatcher + ?Sized>(
+        &self,
+        demand: &Demand,
+        matcher: &mut M,
+    ) -> u32 {
+        let online = self.pools.iter().map(|p| p.total - p.offline.len() as u32);
+        self.count_eligible(demand, matcher, online.enumerate())
+    }
+
+    /// Sum the `(pool, nodes)` counts whose pool satisfies `demand` and is
+    /// accepted by the (prepared) `matcher`. When the matcher exposes a
+    /// precomputed eligibility bitset ([`PoolMatcher::eligible_pools`]) the
+    /// walk tests bits locally — one trait call per *count* instead of one
+    /// per pool.
+    fn count_eligible<M: PoolMatcher + ?Sized>(
+        &self,
+        demand: &Demand,
+        matcher: &mut M,
+        counts: impl Iterator<Item = (usize, u32)>,
+    ) -> u32 {
         if let Some(bits) = matcher.eligible_pools() {
-            return self
-                .pools
-                .iter()
-                .enumerate()
-                .filter(|(pi, p)| pool_bit(bits, *pi) && p.capacity.satisfies(demand))
-                .map(|(_, p)| p.total - p.offline.len() as u32)
+            return counts
+                .filter(|&(pi, _)| pool_bit(bits, pi) && self.pools[pi].capacity.satisfies(demand))
+                .map(|(_, n)| n)
                 .sum();
         }
-        self.pools
-            .iter()
-            .enumerate()
-            .filter(|(pi, p)| p.capacity.satisfies(demand) && matcher.matches(*pi, &p.capacity))
-            .map(|(_, p)| p.total - p.offline.len() as u32)
+        counts
+            .filter(|&(pi, _)| {
+                let capacity = self.pools[pi].capacity;
+                capacity.satisfies(demand) && matcher.matches(pi, &capacity)
+            })
+            .map(|(_, n)| n)
             .sum()
     }
 
@@ -677,8 +508,6 @@ impl Cluster {
                 alloc.token
             );
             self.pools[pi as usize].free.extend_from_slice(seg);
-            self.mem_index
-                .add_free(self.pool_rung[pi as usize] as usize, n as i64);
         }
         debug_assert_eq!(offset, alloc.nodes.len());
         self.free_count += alloc.nodes.len() as u32;
@@ -770,50 +599,20 @@ impl Cluster {
             .fold(u32::MAX, |acc, p| acc & p)
     }
 
-    /// How many of an allocation's nodes satisfy `demand` — per-pool
-    /// arithmetic, O(pools spanned) instead of O(nodes held).
-    #[inline]
-    pub fn allocation_nodes_satisfying(&self, alloc: &Allocation, demand: &Demand) -> u32 {
-        alloc
-            .per_pool
-            .iter()
-            .filter(|&&(pi, _)| self.pools[pi as usize].capacity.satisfies(demand))
-            .map(|&(_, n)| n)
-            .sum()
-    }
-
     /// How many of an allocation's nodes satisfy `demand` *and* sit in a
-    /// pool accepted by `matcher` — the matched counterpart of
-    /// [`Cluster::allocation_nodes_satisfying`], used for backfill
-    /// reservation arithmetic. The caller is expected to have
-    /// [`PoolMatcher::prepare`]d the matcher for `demand`.
+    /// pool accepted by `matcher` — per-pool arithmetic, O(pools spanned)
+    /// instead of O(nodes held), used for backfill reservation arithmetic.
+    /// The caller is expected to have [`PoolMatcher::prepare`]d the matcher
+    /// for `demand`.
     #[inline]
-    pub fn allocation_nodes_satisfying_matched(
+    pub fn allocation_nodes_satisfying_matched<M: PoolMatcher + ?Sized>(
         &self,
         alloc: &Allocation,
         demand: &Demand,
-        matcher: &mut dyn PoolMatcher,
+        matcher: &mut M,
     ) -> u32 {
-        if let Some(bits) = matcher.eligible_pools() {
-            return alloc
-                .per_pool
-                .iter()
-                .filter(|&&(pi, _)| {
-                    pool_bit(bits, pi as usize)
-                        && self.pools[pi as usize].capacity.satisfies(demand)
-                })
-                .map(|&(_, n)| n)
-                .sum();
-        }
-        alloc
-            .per_pool
-            .iter()
-            .filter(|&&(pi, _)| {
-                let capacity = self.pools[pi as usize].capacity;
-                capacity.satisfies(demand) && matcher.matches(pi as usize, &capacity)
-            })
-            .map(|&(_, n)| n)
-            .sum()
+        let held = alloc.per_pool.iter().map(|&(pi, n)| (pi as usize, n));
+        self.count_eligible(demand, matcher, held)
     }
 
     /// Number of pools, in construction order (stable for a cluster's
@@ -995,8 +794,6 @@ mod tests {
         let _ = Cluster::from_pools(&[]);
     }
 
-    use crate::matchmaking::MatchAll;
-
     /// Accepts only the listed pool indices; unranked.
     struct OnlyPools(Vec<usize>);
 
@@ -1020,47 +817,6 @@ mod tests {
 
         fn is_ranked(&self) -> bool {
             true
-        }
-    }
-
-    #[test]
-    fn matched_with_match_all_is_bit_identical_to_native() {
-        // Same interleaved allocate/release sequence through both entry
-        // points must grant the same node ids in the same order, under
-        // every policy.
-        for policy in [
-            MatchPolicy::FirstFit,
-            MatchPolicy::BestFit,
-            MatchPolicy::WorstFit,
-        ] {
-            let mut native = two_pool_cluster();
-            let mut matched = two_pool_cluster();
-            let mut matcher = MatchAll;
-            let mut held_native = Vec::new();
-            let mut held_matched = Vec::new();
-            for (i, (count, mem)) in [(3, 1024), (2, 28 * 1024), (4, 1024), (2, 25 * 1024)]
-                .into_iter()
-                .enumerate()
-            {
-                let demand = Demand::memory(mem);
-                let a = native.try_allocate(count, &demand, policy, i as u64);
-                let b =
-                    matched.try_allocate_matched(count, &demand, policy, i as u64, &mut matcher);
-                match (a, b) {
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.nodes(), b.nodes(), "{policy:?} step {i}");
-                        assert_eq!(a.per_pool(), b.per_pool(), "{policy:?} step {i}");
-                        held_native.push(a);
-                        held_matched.push(b);
-                    }
-                    (None, None) => {}
-                    (a, b) => panic!("{policy:?} step {i}: divergent outcomes {a:?} vs {b:?}"),
-                }
-                if i == 1 {
-                    native.release(held_native.remove(0));
-                    matched.release(held_matched.remove(0));
-                }
-            }
         }
     }
 

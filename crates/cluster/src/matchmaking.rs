@@ -1,16 +1,17 @@
 //! The allocator-side matchmaking seam.
 //!
-//! [`PoolMatcher`] is the narrow interface the allocator needs from an
-//! expression matchmaker: a per-pool eligibility verdict and an optional
-//! rank. The trait lives here — not in the expression engine — so the
-//! dependency points the right way: `resmatch-classad` implements this
-//! trait on top of its compiled ads, and the cluster stays free of any
-//! expression-language dependency.
+//! [`PoolMatcher`] is the narrow interface the allocator needs from a
+//! matcher: a per-pool eligibility verdict and an optional rank. Every
+//! allocation and count goes through it; native capacity matching is the
+//! [`MatchAll`] instantiation, which accepts every pool, so a pool is then
+//! eligible exactly when its capacity satisfies the demand. The trait
+//! lives here — not in the expression engine — so the dependency points
+//! the right way: `resmatch-classad` implements it on top of its compiled
+//! ads, and the cluster stays free of any expression-language dependency.
 //!
 //! Pools, not nodes, are the match unit: nodes in a pool are identical by
 //! construction, so one ad evaluation per pool covers every node in it.
-//! That keeps matchmaking O(#pools) per allocation attempt — the same
-//! complexity class as the native capacity walk it extends.
+//! That keeps matchmaking O(#pools) per allocation attempt.
 //!
 //! Contract: a matcher's verdicts must be a pure function of the demand it
 //! was last [`PoolMatcher::prepare`]d with and of the pool's (fixed)
@@ -36,7 +37,7 @@ pub trait PoolMatcher: Send {
     /// Whether pool `pool` (whose per-node capacity is `capacity`) is
     /// eligible for the prepared demand. Returning `true` for a pool whose
     /// capacity does not satisfy the demand has no effect — the allocator
-    /// intersects with the native capacity check.
+    /// intersects with the capacity check.
     fn matches(&mut self, pool: usize, capacity: &Capacity) -> bool;
 
     /// Preference score for pool `pool`; higher is better. Only consulted
@@ -50,7 +51,7 @@ pub trait PoolMatcher: Send {
     /// Whether [`PoolMatcher::rank`] carries information. When false the
     /// allocator skips rank evaluation and keeps pure policy order, which
     /// is what makes an unranked constraint-free matcher bit-identical to
-    /// the native path.
+    /// [`MatchAll`].
     fn is_ranked(&self) -> bool {
         false
     }
@@ -83,8 +84,9 @@ pub trait PoolMatcher: Send {
 }
 
 /// A matcher that accepts every pool and ranks nothing — the identity
-/// element of the seam. With it, matched allocation must reproduce native
-/// allocation exactly (a property the cluster tests assert).
+/// element of the seam, and native capacity matching: with it a pool is
+/// eligible exactly when its capacity satisfies the demand. Zero-sized and
+/// statically dispatched, so its trait calls inline to constants.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MatchAll;
 

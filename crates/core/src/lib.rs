@@ -58,7 +58,6 @@ pub mod quantile;
 pub mod regression;
 pub mod reinforcement;
 pub mod robust;
-pub mod selector;
 pub mod similarity;
 pub mod snapshot;
 pub mod spec;
@@ -77,7 +76,6 @@ pub mod prelude {
     pub use crate::regression::{RegressionConfig, RegressionEstimator};
     pub use crate::reinforcement::{ReinforcementConfig, ReinforcementEstimator};
     pub use crate::robust::{RobustBisection, RobustConfig};
-    pub use crate::selector::{EstimatorSelector, SelectorConfig};
     pub use crate::similarity::SimilarityPolicy;
     pub use crate::snapshot::{SnapshotError, SnapshotState};
     pub use crate::spec::{EstimatorSpec, ParseEstimatorError};

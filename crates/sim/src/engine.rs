@@ -35,7 +35,7 @@ use std::mem;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use resmatch_cluster::{AllocationSpare, Cluster, Demand, MatchPolicy, PoolMatcher};
+use resmatch_cluster::{AllocationSpare, Cluster, Demand, MatchAll, MatchPolicy, PoolMatcher};
 use resmatch_core::similarity::FnvBuildHasher;
 use resmatch_core::traits::{requested_demand, used_demand};
 use resmatch_core::{EstimateContext, EstimateScope, Feedback, ResourceEstimator};
@@ -201,6 +201,78 @@ struct ShadowCache {
     scanned: usize,
 }
 
+/// What a demand-keyed memo row is keyed by: the matcher's verdict-class
+/// signature when it vouches for one ([`PoolMatcher::demand_signature`]),
+/// the raw demand otherwise. Equal signatures guarantee equal per-pool
+/// allocator verdicts, so one signature row serves every demand in its
+/// class and the probe compares one integer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum DemandKey {
+    Class(u64),
+    Demand(Demand),
+}
+
+impl DemandKey {
+    /// The key of `demand`; `matcher` must be prepared for it.
+    #[inline]
+    fn of<M: PoolMatcher + ?Sized>(matcher: &M, demand: &Demand) -> Self {
+        match matcher.demand_signature() {
+            Some(s) => DemandKey::Class(s),
+            None => DemandKey::Demand(*demand),
+        }
+    }
+}
+
+/// Eligible-free counts per [`DemandKey`], memoized under one retry epoch.
+/// Starts only shrink the free set within an epoch (releases and churn
+/// bump it), so each cached count is an *upper bound* on the live one: an
+/// entry demanding more nodes than the bound is provably refused at the
+/// allocator's availability gate, with nothing else to observe —
+/// estimates are rung-quantized, so a handful of rows absorbs most of a
+/// saturated queue's allocation attempts.
+#[derive(Debug, Default)]
+struct FreeBoundMemo {
+    /// Retry epoch the rows belong to; a mismatch clears them.
+    stamp: u64,
+    rows: Vec<(DemandKey, u32)>,
+}
+
+impl FreeBoundMemo {
+    /// Upper bound on the eligible-free node count for `demand` under
+    /// retry epoch `epoch`, preparing `matcher` for `demand` first. Matcher
+    /// verdicts are pure in (demand, pool ad), so a matched count is
+    /// memoizable under exactly the same epoch reasoning as a
+    /// capacity-only one.
+    #[inline]
+    fn free_bound<M: PoolMatcher + ?Sized>(
+        &mut self,
+        epoch: u64,
+        cluster: &Cluster,
+        demand: &Demand,
+        matcher: &mut M,
+    ) -> u32 {
+        if self.stamp != epoch {
+            self.rows.clear();
+            self.stamp = epoch;
+        }
+        matcher.prepare(demand);
+        let key = DemandKey::of(matcher, demand);
+        if let Some(&(_, f)) = self.rows.iter().find(|(k, _)| *k == key) {
+            return f;
+        }
+        let f = cluster.free_nodes_satisfying_matched(demand, matcher);
+        self.rows.push((key, f));
+        f
+    }
+
+    /// Replace the bound memoized for `key` with the live count.
+    fn tighten(&mut self, key: DemandKey, live: u32) {
+        if let Some(row) = self.rows.iter_mut().find(|(k, _)| *k == key) {
+            row.1 = live;
+        }
+    }
+}
+
 /// Reusable simulation buffers: every growable structure one run needs,
 /// cleared — capacity intact — rather than freed between runs.
 ///
@@ -216,8 +288,7 @@ pub struct SimArena {
     store: JobStore,
     runs: RunTable,
     release_table: ReleaseTable,
-    free_cache: Vec<(Demand, u32)>,
-    free_cache_sig: Vec<(u64, u32)>,
+    free_memo: FreeBoundMemo,
     group_slots: HashMap<u64, u32, FnvBuildHasher>,
     group_epoch_by_slot: Vec<u64>,
     sjf_heap: BinaryHeap<Reverse<(Time, i64)>>,
@@ -272,35 +343,17 @@ struct RunState {
     /// refusal ([`Queued::failed_alloc_stamp`]) repeats identically, so
     /// retries are skipped without touching the cluster.
     retry_epoch: u64,
-    /// Eligible-free counts per distinct demand, memoized under the
-    /// current retry epoch. Starts only shrink the free set within an
-    /// epoch (releases and churn bump it), so each cached count is an
-    /// *upper bound* on the live one: an entry demanding more nodes than
-    /// the bound is provably refused at `try_allocate`'s availability
-    /// gate, with nothing else to observe — estimates are rung-quantized,
-    /// so a handful of entries absorbs most of a saturated queue's
-    /// allocation attempts.
-    free_cache: Vec<(Demand, u32)>,
-    /// Signature-keyed twin of `free_cache`, used when the matcher
-    /// vouches for its demand signatures (`demand_signature()` returns
-    /// `Some`): one cached bound then serves every demand in a verdict
-    /// class, and the probe compares one integer instead of a `Demand`.
-    free_cache_sig: Vec<(u64, u32)>,
-    /// Retry epoch the `free_cache`/`free_cache_sig` memos belong to; a
-    /// mismatch clears them.
-    free_cache_stamp: u64,
+    /// The free-bound memo (see [`FreeBoundMemo`]).
+    free_memo: FreeBoundMemo,
     /// Running jobs sorted by conservative completion time (EASY only).
     release_table: ReleaseTable,
     /// Last computed EASY reservation, keyed by head and generations.
     shadow_cache: Option<ShadowCache>,
-    /// The head demand the release table's eligible counts were computed
-    /// against, and the epoch stamped on them. When the matcher vouches
-    /// for its demand signatures, the signature stands in for the demand
-    /// — equal signatures guarantee equal per-pool allocator verdicts, so
-    /// the epoch (and the counts behind it) holds across raw demand
-    /// changes within one verdict class.
-    last_shadow_demand: Option<Demand>,
-    last_shadow_sig: Option<u64>,
+    /// Key of the head demand the release table's eligible counts were
+    /// computed against, and the epoch stamped on them. A signature key
+    /// holds the epoch still across raw demand changes within one verdict
+    /// class.
+    last_shadow_key: Option<DemandKey>,
     shadow_demand_epoch: u64,
     /// SJF's index heap: `(requested_runtime, queue rank)`, so the next
     /// candidate is an O(1) peek instead of an O(queue) scan. Mirrors the
@@ -325,6 +378,11 @@ struct RunState {
     obs: Option<Box<dyn SimObserver>>,
     /// Deterministic event counters, tracked unconditionally.
     counters: RunCounters,
+    /// Whether a matcher was attached. Allocation never branches on it;
+    /// only what `SimResult` pins does: disk accounting and the
+    /// `match_attempts`/`match_refusals` counters with their observer
+    /// events.
+    matcher_attached: bool,
     /// Time-weighted accumulators for queue statistics.
     last_event_time: Time,
     queue_len_time: f64,
@@ -368,8 +426,9 @@ pub struct Simulation {
     churn: Vec<ChurnEvent>,
     observer: Option<Box<dyn SimObserver>>,
     /// Matchmaking layer, when active (see [`Simulation::with_matchmaking`]).
-    /// `None` — the default — is the legacy capacity-only allocation path,
-    /// byte-identical to every simulation ever run without it.
+    /// `None` — the default — runs the same allocation path under
+    /// [`MatchAll`]: capacity-only matching, byte-identical to every
+    /// simulation ever run without a matcher.
     matchmaking: Option<Box<dyn PoolMatcher>>,
 }
 
@@ -438,11 +497,14 @@ impl Simulation {
     /// replays refusals, exactly as it does for capacity. A matcher whose
     /// answers drift between identical calls breaks those proofs.
     ///
-    /// Disk usage accounting rides along: with a matcher attached, a
-    /// running job whose `used_disk_kb` exceeds the weakest allocated
-    /// node's scratch disk fails mid-run like a memory overrun, and
-    /// explicit feedback carries the granted disk floor. Without one,
-    /// granted disk stays zero — the historical behaviour.
+    /// Without a matcher the engine runs the same code under [`MatchAll`].
+    /// Attaching one changes only disk accounting and the match counters:
+    /// a running job whose `used_disk_kb` exceeds the weakest allocated
+    /// node's scratch disk fails mid-run like a memory overrun, explicit
+    /// feedback carries the granted disk floor, and every allocation
+    /// attempt and refusal is counted (`match_attempts`,
+    /// `match_refusals`). Without one, granted disk stays zero — the
+    /// historical behaviour.
     pub fn with_matchmaking(mut self, matcher: Box<dyn PoolMatcher>) -> Self {
         self.matchmaking = Some(matcher);
         self
@@ -500,10 +562,10 @@ impl Simulation {
     /// counting the ones that do not ("jobs whose full request can never
     /// be satisfied are dropped up front"). The first job's submit —
     /// dropped or not — is captured as the run's `first_submit`.
-    fn next_surviving<I: Iterator<Item = Job>>(
+    fn next_surviving<I: Iterator<Item = Job>, M: PoolMatcher + ?Sized>(
         feed: &mut I,
         gate: &Cluster,
-        mut matcher: Option<&mut (dyn PoolMatcher + 'static)>,
+        matcher: &mut M,
         first_submit: &mut Option<Time>,
         dropped: &mut usize,
     ) -> Option<Job> {
@@ -513,14 +575,8 @@ impl Simulation {
                 *first_submit = Some(job.submit);
             }
             let request = requested_demand(&job);
-            let eligible = match matcher.as_deref_mut() {
-                Some(m) => {
-                    m.prepare(&request);
-                    gate.nodes_satisfying_matched(&request, m)
-                }
-                None => gate.nodes_satisfying(&request),
-            };
-            if eligible < job.nodes {
+            matcher.prepare(&request);
+            if gate.nodes_satisfying_matched(&request, matcher) < job.nodes {
                 *dropped += 1;
                 continue;
             }
@@ -558,12 +614,28 @@ impl Simulation {
         }
     }
 
-    /// The event loop shared by every `run*` entry point. Arrivals come
-    /// straight from `feed` — never materialized, never heaped — merged
-    /// against the event queue on `(time, tie)` where the feed always wins
-    /// time ties: arrivals historically carried the lowest seeded
-    /// sequence numbers, so this reproduces the seeded order exactly.
-    fn run_core<I: Iterator<Item = Job>>(mut self, mut feed: I, arena: &mut SimArena) -> SimResult {
+    /// Shared by every `run*` entry point: take the matcher out of the
+    /// simulation once and run the event loop statically dispatched over
+    /// it — the attached matcher, or [`MatchAll`] when none is.
+    fn run_core<I: Iterator<Item = Job>>(mut self, feed: I, arena: &mut SimArena) -> SimResult {
+        match self.matchmaking.take() {
+            Some(mut matcher) => self.run_loop(feed, arena, &mut *matcher, true),
+            None => self.run_loop(feed, arena, &mut MatchAll, false),
+        }
+    }
+
+    /// The event loop. Arrivals come straight from `feed` — never
+    /// materialized, never heaped — merged against the event queue on
+    /// `(time, tie)` where the feed always wins time ties: arrivals
+    /// historically carried the lowest seeded sequence numbers, so this
+    /// reproduces the seeded order exactly.
+    fn run_loop<I: Iterator<Item = Job>, M: PoolMatcher + ?Sized>(
+        mut self,
+        mut feed: I,
+        arena: &mut SimArena,
+        matcher: &mut M,
+        matcher_attached: bool,
+    ) -> SimResult {
         let total_nodes = self.cluster.total_nodes();
         let expected_jobs = {
             let (lower, upper) = feed.size_hint();
@@ -616,25 +688,19 @@ impl Simulation {
             },
             running_gen: 0,
             retry_epoch: 0,
-            free_cache: {
-                let mut v = mem::take(&mut arena.free_cache);
-                v.clear();
-                v
+            free_memo: {
+                let mut m = mem::take(&mut arena.free_memo);
+                m.rows.clear();
+                m.stamp = 0;
+                m
             },
-            free_cache_sig: {
-                let mut v = mem::take(&mut arena.free_cache_sig);
-                v.clear();
-                v
-            },
-            free_cache_stamp: 0,
             release_table: {
                 let mut t = mem::take(&mut arena.release_table);
                 t.clear();
                 t
             },
             shadow_cache: None,
-            last_shadow_demand: None,
-            last_shadow_sig: None,
+            last_shadow_key: None,
             shadow_demand_epoch: 0,
             sjf_heap: {
                 let mut h = mem::take(&mut arena.sjf_heap);
@@ -652,6 +718,7 @@ impl Simulation {
             dropped_jobs: 0,
             obs: self.observer.take(),
             counters: RunCounters::default(),
+            matcher_attached,
             last_event_time: Time::ZERO,
             queue_len_time: 0.0,
             busy_nodes_time: 0.0,
@@ -693,7 +760,7 @@ impl Simulation {
         let mut pending = Self::next_surviving(
             &mut feed,
             pristine.as_ref().unwrap_or(&self.cluster),
-            self.matchmaking.as_deref_mut(),
+            matcher,
             &mut first_submit_seen,
             &mut state.dropped_jobs,
         );
@@ -741,7 +808,7 @@ impl Simulation {
                 }
                 let queue_len = state.queue.len();
                 let slot = state.store.insert(job, SCOPE_UNRESOLVED);
-                let queued = self.admit(&mut state, slot, 0, queue_len);
+                let queued = self.admit(&mut state, slot, 0, queue_len, matcher);
                 if self.cfg.max_estimation_attempts == 0 {
                     // Degenerate configuration: estimation disabled
                     // outright, so even first submissions bypass.
@@ -762,7 +829,7 @@ impl Simulation {
                 pending = Self::next_surviving(
                     &mut feed,
                     pristine.as_ref().unwrap_or(&self.cluster),
-                    self.matchmaking.as_deref_mut(),
+                    matcher,
                     &mut first_submit_seen,
                     &mut state.dropped_jobs,
                 );
@@ -803,7 +870,7 @@ impl Simulation {
                 self.advance_clock(&mut state, now);
                 match event {
                     Event::ExecutionEnd { run_id, success } => {
-                        self.finish_execution(&mut state, now, run_id, success);
+                        self.finish_execution(&mut state, now, run_id, success, matcher);
                     }
                     Event::Churn { index } => {
                         let ev = self.churn[index];
@@ -828,7 +895,7 @@ impl Simulation {
                     }
                 }
             }
-            self.schedule(&mut state, now);
+            self.schedule(&mut state, now, matcher);
             // A pass ends either with an empty queue or because the head
             // refused to start — in the latter case the head is now both
             // fresh and proven blocked.
@@ -857,8 +924,7 @@ impl Simulation {
             records,
             group_slots,
             group_epoch_by_slot,
-            free_cache,
-            free_cache_sig,
+            free_memo,
             release_table,
             sjf_heap,
             pool_busy_time,
@@ -927,8 +993,7 @@ impl Simulation {
         arena.store = store;
         arena.runs = runs;
         arena.release_table = release_table;
-        arena.free_cache = free_cache;
-        arena.free_cache_sig = free_cache_sig;
+        arena.free_memo = free_memo;
         arena.group_slots = group_slots;
         arena.group_epoch_by_slot = group_epoch_by_slot;
         arena.sjf_heap = sjf_heap;
@@ -945,7 +1010,14 @@ impl Simulation {
 
     /// Handle an execution's end: release nodes, deliver feedback, record or
     /// requeue.
-    fn finish_execution(&mut self, state: &mut RunState, now: Time, run_id: u64, success: bool) {
+    fn finish_execution<M: PoolMatcher + ?Sized>(
+        &mut self,
+        state: &mut RunState,
+        now: Time,
+        run_id: u64,
+        success: bool,
+        matcher: &mut M,
+    ) {
         let run = state.runs.take(run_id);
         state.running_gen += 1;
         state.retry_epoch += 1;
@@ -961,7 +1033,7 @@ impl Simulation {
         // Granted disk is a matchmaking-mode concept: the legacy path
         // reports zero, keeping feedback bytes identical for every
         // pre-matchmaking configuration.
-        let min_disk = if self.matchmaking.is_some() {
+        let min_disk = if state.matcher_attached {
             self.cluster.allocation_min_disk(&run.alloc)
         } else {
             0
@@ -990,7 +1062,7 @@ impl Simulation {
                 // all (legacy granted disk is a flat zero).
                 let mut used = used_demand(&job);
                 used.mem_kb = used.mem_kb.min(min_mem);
-                if self.matchmaking.is_some() {
+                if state.matcher_attached {
                     used.disk_kb = used.disk_kb.min(min_disk);
                 }
                 Feedback::explicit(false, used)
@@ -1051,7 +1123,7 @@ impl Simulation {
                 state.counters.admissions += 1;
                 state.counters.requeued += 1;
                 let queue_len = state.queue.len();
-                let queued = self.admit(state, slot, attempts, queue_len);
+                let queued = self.admit(state, slot, attempts, queue_len, matcher);
                 if attempts >= self.cfg.max_estimation_attempts {
                     state.counters.estimator_bypassed += 1;
                     if let Some(obs) = state.obs.as_deref_mut() {
@@ -1105,12 +1177,13 @@ impl Simulation {
     /// `queue_len` is passed explicitly because the callers' conventions
     /// differ: a refresh excludes the entry being refreshed, while a
     /// (re)admission counts every entry already waiting.
-    fn admit(
+    fn admit<M: PoolMatcher + ?Sized>(
         &mut self,
         state: &mut RunState,
         slot: usize,
         attempts: u32,
         queue_len: usize,
+        matcher: &mut M,
     ) -> Queued {
         // All-inline fields: the copy frees `state` for `scope_slot_of`.
         let job = state.store.job(slot).clone();
@@ -1133,17 +1206,10 @@ impl Simulation {
             (d, self.scope_slot_of(state, slot))
         };
         let lowered = demand != request && demand.within(&request);
-        let benefited = match self.matchmaking.as_deref_mut() {
-            Some(m) => {
-                m.prepare(&demand);
-                let eligible = self.cluster.nodes_satisfying_matched(&demand, m);
-                m.prepare(&request);
-                eligible > self.cluster.nodes_satisfying_matched(&request, m)
-            }
-            None => {
-                self.cluster.nodes_satisfying(&demand) > self.cluster.nodes_satisfying(&request)
-            }
-        };
+        matcher.prepare(&demand);
+        let eligible = self.cluster.nodes_satisfying_matched(&demand, matcher);
+        matcher.prepare(&request);
+        let benefited = eligible > self.cluster.nodes_satisfying_matched(&request, matcher);
         Queued {
             job: slot,
             attempts,
@@ -1206,61 +1272,16 @@ impl Simulation {
             }
     }
 
-    /// Upper bound on the eligible-free node count for `demand` under the
-    /// current retry epoch, memoized per distinct demand. Within one epoch
-    /// the free set only shrinks (starts allocate; releases and churn bump
-    /// the epoch), so `nodes > bound` proves `try_allocate` would refuse
-    /// at its availability gate — its only refusal condition — without
-    /// calling it.
-    fn free_bound(
-        cluster: &Cluster,
-        state: &mut RunState,
-        demand: &Demand,
-        matcher: Option<&mut (dyn PoolMatcher + 'static)>,
-    ) -> u32 {
-        if state.free_cache_stamp != state.retry_epoch {
-            state.free_cache.clear();
-            state.free_cache_sig.clear();
-            state.free_cache_stamp = state.retry_epoch;
-        }
-        // Matcher verdicts are pure in (demand, pool ad), so a matched
-        // count is memoizable under exactly the same epoch reasoning as
-        // the capacity-only one. A vouched signature collapses the memo
-        // further: one entry per verdict class instead of per demand.
-        match matcher {
-            Some(m) => {
-                m.prepare(demand);
-                if let Some(s) = m.demand_signature() {
-                    if let Some(&(_, f)) = state.free_cache_sig.iter().find(|(k, _)| *k == s) {
-                        return f;
-                    }
-                    let f = cluster.free_nodes_satisfying_matched(demand, m);
-                    state.free_cache_sig.push((s, f));
-                    f
-                } else {
-                    if let Some(&(_, f)) = state.free_cache.iter().find(|(d, _)| d == demand) {
-                        return f;
-                    }
-                    let f = cluster.free_nodes_satisfying_matched(demand, m);
-                    state.free_cache.push((*demand, f));
-                    f
-                }
-            }
-            None => {
-                if let Some(&(_, f)) = state.free_cache.iter().find(|(d, _)| d == demand) {
-                    return f;
-                }
-                let f = cluster.free_nodes_satisfying(demand);
-                state.free_cache.push((*demand, f));
-                f
-            }
-        }
-    }
-
     /// Try to start the queued entry at `idx`, refreshing its estimate if
     /// feedback has arrived since it was admitted. Removes it from the
     /// queue and returns true on success.
-    fn try_start_at(&mut self, state: &mut RunState, idx: usize, now: Time) -> bool {
+    fn try_start_at<M: PoolMatcher + ?Sized>(
+        &mut self,
+        state: &mut RunState,
+        idx: usize,
+        now: Time,
+        matcher: &mut M,
+    ) -> bool {
         // One copy of the entry decides everything the refusal fast
         // paths need — the columns are gathered once, not per check.
         let q = state.queue.get(idx);
@@ -1283,7 +1304,7 @@ impl Simulation {
             // admission (`queue_len` counts *other* waiting jobs — see
             // `EstimateContext::queue_len`).
             let queue_len = state.queue.len() - 1;
-            let mut fresh = self.admit(state, q.job, q.attempts, queue_len);
+            let mut fresh = self.admit(state, q.job, q.attempts, queue_len, matcher);
             // A refresh changes the estimate, never the queue position.
             fresh.seq = q.seq;
             let refreshed = (fresh.demand, fresh.nodes);
@@ -1297,73 +1318,46 @@ impl Simulation {
         // more nodes than the epoch's free bound is exactly the refusal
         // `try_allocate`'s availability gate would produce, side-effect
         // free.
-        if job_nodes
-            > Self::free_bound(
-                &self.cluster,
-                state,
-                &demand,
-                self.matchmaking.as_deref_mut(),
-            )
-        {
+        let bound = state
+            .free_memo
+            .free_bound(state.retry_epoch, &self.cluster, &demand, matcher);
+        if job_nodes > bound {
             state.queue.set_failed_stamp(idx, state.retry_epoch);
             return false;
         }
         // Reuse a finished slab slot when one is free. Peeked, not popped:
         // a refused allocation must leave the free list untouched.
         let run_id = state.runs.peek_id();
-        let alloc = match self.matchmaking.as_deref_mut() {
-            Some(m) => {
-                state.counters.match_attempts += 1;
-                if let Some(obs) = state.obs.as_deref_mut() {
-                    obs.on_match_attempt(now, state.store.job(q.job).id, job_nodes);
-                }
-                m.prepare(&demand);
-                self.cluster.try_allocate_matched(
-                    job_nodes,
-                    &demand,
-                    self.cfg.match_policy,
-                    run_id,
-                    m,
-                )
+        if state.matcher_attached {
+            state.counters.match_attempts += 1;
+            if let Some(obs) = state.obs.as_deref_mut() {
+                obs.on_match_attempt(now, state.store.job(q.job).id, job_nodes);
             }
-            None => self
-                .cluster
-                .try_allocate(job_nodes, &demand, self.cfg.match_policy, run_id),
-        };
+        }
+        // `free_bound` left the matcher prepared for `demand`.
+        let alloc = self.cluster.try_allocate_matched(
+            job_nodes,
+            &demand,
+            self.cfg.match_policy,
+            run_id,
+            matcher,
+        );
         let Some(alloc) = alloc else {
             // The bound over-approximated (an earlier start in this epoch
             // shrank the free set); tighten it to the live count and
             // record the refusal — until the next execution end or churn
             // event it would repeat identically, so passes skip it.
-            let live = match self.matchmaking.as_deref_mut() {
-                Some(m) => {
-                    state.counters.match_refusals += 1;
-                    if let Some(obs) = state.obs.as_deref_mut() {
-                        obs.on_match_refused(now, state.store.job(q.job).id);
-                    }
-                    // Still prepared for `demand` from the refused attempt.
-                    self.cluster.free_nodes_satisfying_matched(&demand, m)
-                }
-                None => self.cluster.free_nodes_satisfying(&demand),
-            };
-            // Tighten whichever memo row served this demand (the matcher,
-            // when present, is still prepared for it).
-            match self
-                .matchmaking
-                .as_deref()
-                .and_then(|m| m.demand_signature())
-            {
-                Some(s) => {
-                    if let Some(slot) = state.free_cache_sig.iter_mut().find(|(k, _)| *k == s) {
-                        slot.1 = live;
-                    }
-                }
-                None => {
-                    if let Some(slot) = state.free_cache.iter_mut().find(|(d, _)| *d == demand) {
-                        slot.1 = live;
-                    }
+            if state.matcher_attached {
+                state.counters.match_refusals += 1;
+                if let Some(obs) = state.obs.as_deref_mut() {
+                    obs.on_match_refused(now, state.store.job(q.job).id);
                 }
             }
+            // The matcher is still prepared for `demand` from the attempt.
+            let live = self.cluster.free_nodes_satisfying_matched(&demand, matcher);
+            state
+                .free_memo
+                .tighten(DemandKey::of(matcher, &demand), live);
             state.queue.set_failed_stamp(idx, state.retry_epoch);
             return false;
         };
@@ -1382,7 +1376,7 @@ impl Simulation {
         let packages = self.cluster.allocation_packages(&alloc);
         // Disk overruns only exist in matchmaking mode; the legacy bound
         // is infinite so the check below is vacuously true there.
-        let min_disk = if self.matchmaking.is_some() {
+        let min_disk = if state.matcher_attached {
             self.cluster.allocation_min_disk(&alloc)
         } else {
             u64::MAX
@@ -1440,12 +1434,17 @@ impl Simulation {
     }
 
     /// One scheduling pass under the configured policy.
-    fn schedule(&mut self, state: &mut RunState, now: Time) {
+    fn schedule<M: PoolMatcher + ?Sized>(
+        &mut self,
+        state: &mut RunState,
+        now: Time,
+        matcher: &mut M,
+    ) {
         match self.cfg.scheduling {
             SchedulingPolicy::Fcfs => {
                 while !state.queue.is_empty() {
                     let head = state.queue.head_idx();
-                    if !self.try_start_at(state, head, now) {
+                    if !self.try_start_at(state, head, now, matcher) {
                         break;
                     }
                 }
@@ -1462,7 +1461,7 @@ impl Simulation {
                         state.queue.debug_first_min_runtime_idx(),
                         "heap selection must match the first-minimum scan"
                     );
-                    if !self.try_start_at(state, idx, now) {
+                    if !self.try_start_at(state, idx, now, matcher) {
                         break;
                     }
                     state.sjf_heap.pop();
@@ -1500,7 +1499,7 @@ impl Simulation {
                     let mut head_started = true;
                     while head_started && !state.queue.is_empty() {
                         let head = state.queue.head_idx();
-                        head_started = self.try_start_at(state, head, now);
+                        head_started = self.try_start_at(state, head, now, matcher);
                     }
                     if state.queue.len() < 2 {
                         break;
@@ -1515,52 +1514,33 @@ impl Simulation {
                     let head_demand = head.demand;
                     let head_job = head.job;
                     let head_nodes = head.nodes;
-                    // Prepare the matcher once for the head and thread its
-                    // interned demand signature into the eligible-count
-                    // epoch. A vouched signature (`Some`) guarantees the
-                    // full allocator predicate is unchanged across the
-                    // class, so the epoch holds still even when the raw
-                    // head demand moved; without one (native mode, or a
-                    // matcher like MatchAll that makes no claim) the
-                    // demand compare decides.
-                    let sig = self.matchmaking.as_deref_mut().map(|m| {
-                        m.prepare(&head_demand);
-                        m.demand_signature()
-                    });
-                    let moved = match sig {
-                        Some(Some(s)) => state.last_shadow_sig != Some(s),
-                        _ => state.last_shadow_demand != Some(head_demand),
-                    };
-                    if moved {
-                        state.last_shadow_demand = Some(head_demand);
-                        state.last_shadow_sig = sig.flatten();
+                    // Prepare the matcher once for the head; its demand key
+                    // decides whether the eligible-count epoch moves, so a
+                    // vouched signature holds it still across raw demand
+                    // changes within one verdict class.
+                    matcher.prepare(&head_demand);
+                    let key = DemandKey::of(matcher, &head_demand);
+                    if state.last_shadow_key != Some(key) {
+                        state.last_shadow_key = Some(key);
                         state.shadow_demand_epoch += 1;
                     }
-                    let free_now = match self.matchmaking.as_deref_mut() {
-                        Some(m) => self.cluster.free_nodes_satisfying_matched(&head_demand, m),
-                        None => self.cluster.free_nodes_satisfying(&head_demand),
-                    };
+                    let free_now = self
+                        .cluster
+                        .free_nodes_satisfying_matched(&head_demand, matcher);
                     let crossing = {
                         let epoch = state.shadow_demand_epoch;
                         let runs = &state.runs;
                         let cluster = &self.cluster;
                         // Prepared for `head_demand` by the free count above;
                         // eligible counts below reuse that program set.
-                        let mut matcher = self.matchmaking.as_deref_mut();
                         state
                             .release_table
                             .crossing(free_now, head_nodes, epoch, |run_id| {
-                                let alloc = runs.alloc(run_id);
-                                match matcher.as_deref_mut() {
-                                    Some(m) => cluster.allocation_nodes_satisfying_matched(
-                                        alloc,
-                                        &head_demand,
-                                        m,
-                                    ),
-                                    None => {
-                                        cluster.allocation_nodes_satisfying(alloc, &head_demand)
-                                    }
-                                }
+                                cluster.allocation_nodes_satisfying_matched(
+                                    runs.alloc(run_id),
+                                    &head_demand,
+                                    matcher,
+                                )
                             })
                     };
                     // The incremental path must agree with the historical
@@ -1571,16 +1551,11 @@ impl Simulation {
                             .runs
                             .iter_live()
                             .map(|(end, alloc)| {
-                                let eligible = match self.matchmaking.as_deref_mut() {
-                                    Some(m) => self.cluster.allocation_nodes_satisfying_matched(
-                                        alloc,
-                                        &head_demand,
-                                        m,
-                                    ),
-                                    None => self
-                                        .cluster
-                                        .allocation_nodes_satisfying(alloc, &head_demand),
-                                };
+                                let eligible = self.cluster.allocation_nodes_satisfying_matched(
+                                    alloc,
+                                    &head_demand,
+                                    matcher,
+                                );
                                 (end, eligible)
                             })
                             .collect();
@@ -1616,7 +1591,7 @@ impl Simulation {
                 // index arithmetic — with a `try_start_at` call per
                 // genuine candidate. The hunt rejects on the entry alone
                 // (window, retry stamp) and gates fresh entries on the
-                // epoch's free bound inline: a completion invalidates
+                // epoch's free bound: a completion invalidates
                 // every retry stamp at once, and this keeps the resulting
                 // first pass from paying a full call per provably-refused
                 // entry.
@@ -1633,14 +1608,7 @@ impl Simulation {
                         let structural = state.structural_epoch;
                         let feedback = state.feedback_epoch;
                         let cluster = &self.cluster;
-                        let mut matcher = self.matchmaking.as_deref_mut();
-                        if state.free_cache_stamp != epoch {
-                            state.free_cache.clear();
-                            state.free_cache_sig.clear();
-                            state.free_cache_stamp = epoch;
-                        }
-                        let cache = &mut state.free_cache;
-                        let cache_sig = &mut state.free_cache_sig;
+                        let memo = &mut state.free_memo;
                         let slots = &state.group_epoch_by_slot;
                         let (rts, stamps, colds) = state.queue.hunt_columns(hunt_from);
                         let mut found = None;
@@ -1664,52 +1632,11 @@ impl Simulation {
                                     SCOPE_GLOBAL => q.feedback_stamp != feedback,
                                     slot => slots[slot as usize] > q.feedback_stamp,
                                 };
-                            if !needs_refresh {
-                                let bound = match matcher.as_deref_mut() {
-                                    Some(m) => {
-                                        // Preparing before the probe is what
-                                        // makes the signature key available;
-                                        // it is a memo hit itself for every
-                                        // demand class seen this epoch.
-                                        m.prepare(&q.demand);
-                                        if let Some(s) = m.demand_signature() {
-                                            if let Some(&(_, f)) =
-                                                cache_sig.iter().find(|(k, _)| *k == s)
-                                            {
-                                                f
-                                            } else {
-                                                let f = cluster
-                                                    .free_nodes_satisfying_matched(&q.demand, m);
-                                                cache_sig.push((s, f));
-                                                f
-                                            }
-                                        } else if let Some(&(_, f)) =
-                                            cache.iter().find(|(d, _)| d == &q.demand)
-                                        {
-                                            f
-                                        } else {
-                                            let f =
-                                                cluster.free_nodes_satisfying_matched(&q.demand, m);
-                                            cache.push((q.demand, f));
-                                            f
-                                        }
-                                    }
-                                    None => {
-                                        if let Some(&(_, f)) =
-                                            cache.iter().find(|(d, _)| d == &q.demand)
-                                        {
-                                            f
-                                        } else {
-                                            let f = cluster.free_nodes_satisfying(&q.demand);
-                                            cache.push((q.demand, f));
-                                            f
-                                        }
-                                    }
-                                };
-                                if q.nodes > bound {
-                                    *stamp = epoch;
-                                    continue;
-                                }
+                            if !needs_refresh
+                                && q.nodes > memo.free_bound(epoch, cluster, &q.demand, matcher)
+                            {
+                                *stamp = epoch;
+                                continue;
                             }
                             found = Some(hunt_from + off);
                             break;
@@ -1719,7 +1646,7 @@ impl Simulation {
                     let Some(idx) = candidate else {
                         break;
                     };
-                    if self.try_start_at(state, idx, now) {
+                    if self.try_start_at(state, idx, now, matcher) {
                         started = true;
                         break;
                     }

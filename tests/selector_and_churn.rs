@@ -1,7 +1,6 @@
-//! Integration: the estimator-selector ensemble and dynamic membership,
-//! running end to end through the simulator.
+//! Integration: dynamic membership and queue statistics, running end to
+//! end through the simulator.
 
-use resmatch::core::selector::{EstimatorSelector, SelectorConfig};
 use resmatch::prelude::*;
 
 const MB: u64 = 1024;
@@ -16,74 +15,6 @@ fn trace(jobs: usize) -> Workload {
     );
     w.retain_max_nodes(512);
     w
-}
-
-fn selector_for(cluster: &Cluster) -> Box<EstimatorSelector> {
-    let ladder = cluster.memory_ladder();
-    Box::new(EstimatorSelector::new(
-        SelectorConfig::default(),
-        vec![
-            Box::new(PassThrough),
-            Box::new(SuccessiveApproximation::new(
-                SuccessiveConfig::default(),
-                ladder.clone(),
-            )),
-            Box::new(RobustBisection::new(RobustConfig::default())),
-        ],
-    ))
-}
-
-#[test]
-fn selector_ensemble_beats_baseline_end_to_end() {
-    let w = trace(3_000);
-    let cluster = paper_cluster(24);
-    let scaled = scale_to_load(&w, cluster.total_nodes(), 1.2);
-    let base = Simulation::new(
-        SimConfig::default(),
-        cluster.clone(),
-        EstimatorSpec::PassThrough,
-    )
-    .run(&scaled);
-    let ens = Simulation::builder()
-        .cluster(cluster.clone())
-        .boxed_estimator(selector_for(&cluster))
-        .build()
-        .expect("cluster and estimator are set")
-        .run(&scaled);
-    assert_eq!(ens.completed_jobs + ens.dropped_jobs, scaled.len());
-    assert!(
-        ens.utilization() > base.utilization() * 1.05,
-        "ensemble {:.3} vs baseline {:.3}",
-        ens.utilization(),
-        base.utilization()
-    );
-}
-
-#[test]
-fn selector_tracks_plain_successive_within_tolerance() {
-    // The ensemble pays a warm-up tax (round-robin includes pass-through)
-    // but must stay in the same league as its best member.
-    let w = trace(3_000);
-    let cluster = paper_cluster(24);
-    let scaled = scale_to_load(&w, cluster.total_nodes(), 1.2);
-    let plain = Simulation::new(
-        SimConfig::default(),
-        cluster.clone(),
-        EstimatorSpec::paper_successive(),
-    )
-    .run(&scaled);
-    let ens = Simulation::builder()
-        .cluster(cluster.clone())
-        .boxed_estimator(selector_for(&cluster))
-        .build()
-        .expect("cluster and estimator are set")
-        .run(&scaled);
-    assert!(
-        ens.utilization() > plain.utilization() * 0.85,
-        "ensemble {:.3} vs successive {:.3}",
-        ens.utilization(),
-        plain.utilization()
-    );
 }
 
 #[test]
