@@ -176,28 +176,20 @@ const SCOPE_STATIC: u32 = u32::MAX - 1;
 const SCOPE_GLOBAL: u32 = u32::MAX - 2;
 
 /// Memoized EASY reservation: the head's shadow crossing plus how far the
-/// backfill scan got, valid exactly while nothing that could change either
-/// has happened.
-///
-/// The key is `(head job, head demand, running generation, structural
-/// epoch)`: free-node counts and the release set move only with starts,
-/// completions, and churn (the two generations), and every in-queue
-/// estimate refresh rides a feedback epoch that moves only with
-/// completions — so a hit also proves no queued entry below `scanned`
-/// needs re-estimation, and the pass may resume scanning at new arrivals.
+/// backfill scan got. Free-node counts, the release set, the head and every
+/// queued estimate move only with a start, an execution end or churn, and
+/// each of those clears the cache — so a hit also proves no queued entry
+/// below `scanned` needs re-estimation, and the pass may resume scanning
+/// at new arrivals.
 struct ShadowCache {
-    job: usize,
-    demand: Demand,
-    running_gen: u64,
-    structural: u64,
     /// Uncapped crossing time (`shadow = crossing.max(now)` at use, since
     /// a conservative release time may already lie in the past); `None`
     /// when even a drained cluster cannot satisfy the head.
     crossing: Option<Time>,
-    /// Queue entries below this index are proven unstartable under this
-    /// key: their estimates are fresh, their conservative completions
-    /// still overrun the shadow (`now` only grows the overrun), and the
-    /// cluster they failed to allocate on is unchanged.
+    /// Queue entries below this index are proven unstartable: their
+    /// estimates are fresh, their conservative completions still overrun
+    /// the shadow (`now` only grows the overrun), and the cluster they
+    /// failed to allocate on is unchanged.
     scanned: usize,
 }
 
@@ -207,7 +199,7 @@ struct ShadowCache {
 /// allocator verdicts, so one signature row serves every demand in its
 /// class and the probe compares one integer.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum DemandKey {
+pub(crate) enum DemandKey {
     Class(u64),
     Demand(Demand),
 }
@@ -223,38 +215,30 @@ impl DemandKey {
     }
 }
 
-/// Eligible-free counts per [`DemandKey`], memoized under one retry epoch.
-/// Starts only shrink the free set within an epoch (releases and churn
-/// bump it), so each cached count is an *upper bound* on the live one: an
-/// entry demanding more nodes than the bound is provably refused at the
-/// allocator's availability gate, with nothing else to observe —
+/// Eligible-free counts per [`DemandKey`], memoized within one clock tick
+/// ([`RunState::tick`] clears the rows). Starts only shrink the free set
+/// between ticks, so each cached count is an *upper bound* on the live
+/// one: an entry demanding more nodes than the bound is provably refused
+/// at the allocator's availability gate, with nothing else to observe —
 /// estimates are rung-quantized, so a handful of rows absorbs most of a
 /// saturated queue's allocation attempts.
 #[derive(Debug, Default)]
 struct FreeBoundMemo {
-    /// Retry epoch the rows belong to; a mismatch clears them.
-    stamp: u64,
     rows: Vec<(DemandKey, u32)>,
 }
 
 impl FreeBoundMemo {
-    /// Upper bound on the eligible-free node count for `demand` under
-    /// retry epoch `epoch`, preparing `matcher` for `demand` first. Matcher
-    /// verdicts are pure in (demand, pool ad), so a matched count is
-    /// memoizable under exactly the same epoch reasoning as a
+    /// Upper bound on the eligible-free node count for `demand`, preparing
+    /// `matcher` for `demand` first. Matcher verdicts are pure in (demand,
+    /// pool ad), so a matched count is memoizable exactly like a
     /// capacity-only one.
     #[inline]
     fn free_bound<M: PoolMatcher + ?Sized>(
         &mut self,
-        epoch: u64,
         cluster: &Cluster,
         demand: &Demand,
         matcher: &mut M,
     ) -> u32 {
-        if self.stamp != epoch {
-            self.rows.clear();
-            self.stamp = epoch;
-        }
         matcher.prepare(demand);
         let key = DemandKey::of(matcher, demand);
         if let Some(&(_, f)) = self.rows.iter().find(|(k, _)| *k == key) {
@@ -320,41 +304,33 @@ struct RunState {
     /// Bumped on membership churn. Capacity changes can re-rank rungs and
     /// candidate counts, so every queued estimate predating it re-admits.
     structural_epoch: u64,
-    /// Bumped on every estimator feedback.
-    feedback_epoch: u64,
+    /// The invalidation clock, advanced by [`RunState::tick`] at every
+    /// event that could turn a refused allocation into a granted one or
+    /// stale a fresh estimate: execution ends (they release nodes, and all
+    /// feedback — global and group — happens there) and membership churn.
+    /// While it stands still, a queued entry's recorded refusal
+    /// ([`Queued::failed_alloc_stamp`]) repeats identically, so retries are
+    /// skipped without touching the cluster; [`Queued::feedback_stamp`]
+    /// and the group slots below are clock values too.
+    clock: u64,
     /// Estimator group id → dense slot into [`RunState::group_epoch_by_slot`].
     /// Consulted only on admission and feedback delivery; the per-candidate
     /// staleness check indexes the dense vector through
     /// [`Queued::group_slot`] instead of hashing.
     group_slots: HashMap<u64, u32, FnvBuildHasher>,
-    /// Feedback epoch at which each similarity group (by dense slot) last
+    /// Clock value at which each similarity group (by dense slot) last
     /// received feedback — the group-scoped invalidation index. Entries
     /// whose scope is [`EstimateScope::Group`] re-estimate only when
     /// *their* group moved past their stamp; zero means "never moved"
-    /// (real epochs start at one).
+    /// (feedback always follows a tick, so it is stamped at one or more).
     group_epoch_by_slot: Vec<u64>,
-    /// Bumped whenever the running set changes (start or completion) —
-    /// with the structural epoch, the freshness key for [`ShadowCache`].
-    running_gen: u64,
-    /// Bumped by every event that could turn a refused allocation into a
-    /// granted one or stale a fresh estimate: execution ends (they release
-    /// nodes, and all feedback — global and group — happens there) and
-    /// membership churn. While it stands still, a queued entry's recorded
-    /// refusal ([`Queued::failed_alloc_stamp`]) repeats identically, so
-    /// retries are skipped without touching the cluster.
-    retry_epoch: u64,
     /// The free-bound memo (see [`FreeBoundMemo`]).
     free_memo: FreeBoundMemo,
     /// Running jobs sorted by conservative completion time (EASY only).
     release_table: ReleaseTable,
-    /// Last computed EASY reservation, keyed by head and generations.
+    /// Last computed EASY reservation; cleared by every start, execution
+    /// end and churn event.
     shadow_cache: Option<ShadowCache>,
-    /// Key of the head demand the release table's eligible counts were
-    /// computed against, and the epoch stamped on them. A signature key
-    /// holds the epoch still across raw demand changes within one verdict
-    /// class.
-    last_shadow_key: Option<DemandKey>,
-    shadow_demand_epoch: u64,
     /// SJF's index heap: `(requested_runtime, queue rank)`, so the next
     /// candidate is an O(1) peek instead of an O(queue) scan. Mirrors the
     /// queue exactly — entries are pushed on admission and popped only
@@ -396,6 +372,17 @@ struct RunState {
     /// offline only, never busy) without a per-pool cluster query on every
     /// event.
     pool_busy: Vec<u32>,
+}
+
+impl RunState {
+    /// Advance the invalidation clock: an execution ended or membership
+    /// churned, so recorded refusals, free bounds and the reservation may
+    /// all have moved.
+    fn tick(&mut self) {
+        self.clock += 1;
+        self.free_memo.rows.clear();
+        self.shadow_cache = None;
+    }
 }
 
 /// A scheduled change in cluster membership — the paper's §1.1 setting
@@ -462,20 +449,6 @@ impl Simulation {
         }
     }
 
-    /// Build with a caller-provided estimator (custom implementations).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use Simulation::builder().boxed_estimator(...) — named estimators should go \
-                through EstimatorSpec instead"
-    )]
-    pub fn with_estimator(
-        cfg: SimConfig,
-        cluster: Cluster,
-        estimator: Box<dyn ResourceEstimator>,
-    ) -> Self {
-        Simulation::from_parts(cfg, cluster, estimator)
-    }
-
     /// Attach an observer to the run. Attaching more than once stacks the
     /// observers into a [`MultiObserver`], called in attachment order.
     pub fn with_observer(mut self, observer: Box<dyn SimObserver>) -> Self {
@@ -493,8 +466,8 @@ impl Simulation {
     /// [`PoolMatcher::is_ranked`]) replaces [`MatchPolicy`]'s pool order.
     ///
     /// The matcher's verdicts must be pure in `(prepared demand, pool ad)`:
-    /// the engine memoizes eligible-node counts across a retry epoch and
-    /// replays refusals, exactly as it does for capacity. A matcher whose
+    /// the engine memoizes eligible-node counts between execution ends and
+    /// churn events and replays refusals, exactly as it does for capacity. A matcher whose
     /// answers drift between identical calls breaks those proofs.
     ///
     /// Without a matcher the engine runs the same code under [`MatchAll`].
@@ -675,7 +648,7 @@ impl Simulation {
             },
             rng: StdRng::seed_from_u64(self.cfg.seed),
             structural_epoch: 0,
-            feedback_epoch: 0,
+            clock: 0,
             group_slots: {
                 let mut m = mem::take(&mut arena.group_slots);
                 m.clear();
@@ -686,12 +659,9 @@ impl Simulation {
                 v.clear();
                 v
             },
-            running_gen: 0,
-            retry_epoch: 0,
             free_memo: {
                 let mut m = mem::take(&mut arena.free_memo);
                 m.rows.clear();
-                m.stamp = 0;
                 m
             },
             release_table: {
@@ -700,8 +670,6 @@ impl Simulation {
                 t
             },
             shadow_cache: None,
-            last_shadow_key: None,
-            shadow_demand_epoch: 0,
             sjf_heap: {
                 let mut h = mem::take(&mut arena.sjf_heap);
                 h.clear();
@@ -771,12 +739,6 @@ impl Simulation {
             obs.on_run_start(expected_jobs);
         }
 
-        // True when the queue head was left *blocked by a full scheduling
-        // pass* and nothing that could unblock it has happened since. Only
-        // arrivals can intervene without running `schedule` (see the gate
-        // below), and an arrival changes no epoch and frees no node, so the
-        // proof stays valid until the next pass resets the flag.
-        let mut head_blocked = false;
         loop {
             // Merge the feed against the event queue. `pending` is always
             // the next *surviving* arrival, so a feed-vs-event time tie
@@ -821,11 +783,6 @@ impl Simulation {
                     obs.on_admitted(now, job_id, queued.demand.mem_kb, 0);
                 }
                 self.push_back_queued(&mut state, queued);
-                if queue_len == 0 {
-                    // The new arrival became the head; nothing has
-                    // proven it blocked yet.
-                    head_blocked = false;
-                }
                 pending = Self::next_surviving(
                     &mut feed,
                     pristine.as_ref().unwrap_or(&self.cluster),
@@ -847,18 +804,6 @@ impl Simulation {
                             continue;
                         }
                     }
-                }
-                // FCFS only starts the head. If a pass already proved
-                // the head blocked and no completion/churn (the only
-                // events that free nodes or move epochs) has happened
-                // since, the pass this arrival would trigger is a
-                // by-construction no-op: the head is not stale (a pass
-                // refreshes before trying) and `try_allocate` sees the
-                // identical cluster, so it fails identically. EASY is
-                // excluded (the arrival itself may backfill), as is SJF
-                // (the arrival may become the new minimum).
-                if head_blocked && matches!(self.cfg.scheduling, SchedulingPolicy::Fcfs) {
-                    continue;
                 }
             } else {
                 let (t, event) = state
@@ -886,7 +831,7 @@ impl Simulation {
                         // Capacity changed: queued estimates may now round
                         // to different rungs, so force re-admission.
                         state.structural_epoch += 1;
-                        state.retry_epoch += 1;
+                        state.tick();
                     }
                     Event::Arrival { .. } => {
                         // Arrivals come from the feed; nothing enqueues
@@ -896,10 +841,6 @@ impl Simulation {
                 }
             }
             self.schedule(&mut state, now, matcher);
-            // A pass ends either with an empty queue or because the head
-            // refused to start — in the latter case the head is now both
-            // fresh and proven blocked.
-            head_blocked = !state.queue.is_empty();
         }
 
         // With dynamic membership a queued job can outlive the nodes it
@@ -1019,8 +960,7 @@ impl Simulation {
         matcher: &mut M,
     ) {
         let run = state.runs.take(run_id);
-        state.running_gen += 1;
-        state.retry_epoch += 1;
+        state.tick();
         if matches!(self.cfg.scheduling, SchedulingPolicy::EasyBackfill) {
             state.release_table.remove(run.expected_end, run_id);
         }
@@ -1069,12 +1009,11 @@ impl Simulation {
             }
         };
         self.estimator.feedback(&job, &granted, &fb, &ctx);
-        state.feedback_epoch += 1;
         // Group-scoped invalidation: record which group just moved, so only
         // queued entries of that group (plus Global-scope entries) refresh.
         let scope_slot = self.scope_slot_of(state, slot);
         if scope_slot < SCOPE_GLOBAL {
-            state.group_epoch_by_slot[scope_slot as usize] = state.feedback_epoch;
+            state.group_epoch_by_slot[scope_slot as usize] = state.clock;
         }
         if let Some(obs) = state.obs.as_deref_mut() {
             obs.on_feedback(now, job.id, success);
@@ -1215,7 +1154,7 @@ impl Simulation {
             attempts,
             demand,
             structural_stamp: state.structural_epoch,
-            feedback_stamp: state.feedback_epoch,
+            feedback_stamp: state.clock,
             lowered,
             benefited,
             // Assigned at the push site (front vs back rank); an in-place
@@ -1264,7 +1203,7 @@ impl Simulation {
                 SCOPE_STATIC => false,
                 // Context-dependent estimators: any feedback may matter —
                 // exactly the engine's historical refresh-always rule.
-                SCOPE_GLOBAL => q.feedback_stamp != state.feedback_epoch,
+                SCOPE_GLOBAL => q.feedback_stamp != state.clock,
                 // Only feedback *for this group* can move the estimate;
                 // the slot was resolved at admission, so this is a vector
                 // read (zero = the group never received feedback).
@@ -1285,16 +1224,15 @@ impl Simulation {
         // One copy of the entry decides everything the refusal fast
         // paths need — the columns are gathered once, not per check.
         let q = state.queue.get(idx);
-        // A refusal recorded under the current retry epoch is still
-        // exact: nothing since has released nodes, changed membership,
-        // or moved any feedback epoch (all of those bump
-        // `retry_epoch`), so the entry is provably still fresh and
-        // `try_allocate` — side-effect free on refusal — would refuse
-        // the identical request again.
-        if q.failed_alloc_stamp == state.retry_epoch {
+        // A refusal recorded at the current clock is still exact: nothing
+        // since has released nodes, changed membership, or delivered
+        // feedback (each of those ticks the clock), so the entry is
+        // provably still fresh and `try_allocate` — side-effect free on
+        // refusal — would refuse the identical request again.
+        if q.failed_alloc_stamp == state.clock {
             debug_assert!(
                 !Self::estimate_stale(&q, state),
-                "an unchanged retry epoch must imply a fresh estimate"
+                "an unchanged clock must imply a fresh estimate"
             );
             return false;
         }
@@ -1315,14 +1253,12 @@ impl Simulation {
         };
         // The entry is fresh past this point (refreshed above if needed),
         // so a skipped allocation attempt skips nothing else: demanding
-        // more nodes than the epoch's free bound is exactly the refusal
+        // more nodes than the free bound is exactly the refusal
         // `try_allocate`'s availability gate would produce, side-effect
         // free.
-        let bound = state
-            .free_memo
-            .free_bound(state.retry_epoch, &self.cluster, &demand, matcher);
+        let bound = state.free_memo.free_bound(&self.cluster, &demand, matcher);
         if job_nodes > bound {
-            state.queue.set_failed_stamp(idx, state.retry_epoch);
+            state.queue.set_failed_stamp(idx, state.clock);
             return false;
         }
         // Reuse a finished slab slot when one is free. Peeked, not popped:
@@ -1343,8 +1279,8 @@ impl Simulation {
             matcher,
         );
         let Some(alloc) = alloc else {
-            // The bound over-approximated (an earlier start in this epoch
-            // shrank the free set); tighten it to the live count and
+            // The bound over-approximated (an earlier start since the last
+            // tick shrank the free set); tighten it to the live count and
             // record the refusal — until the next execution end or churn
             // event it would repeat identically, so passes skip it.
             if state.matcher_attached {
@@ -1358,7 +1294,7 @@ impl Simulation {
             state
                 .free_memo
                 .tighten(DemandKey::of(matcher, &demand), live);
-            state.queue.set_failed_stamp(idx, state.retry_epoch);
+            state.queue.set_failed_stamp(idx, state.clock);
             return false;
         };
         for &(pi, n) in alloc.per_pool() {
@@ -1429,7 +1365,7 @@ impl Simulation {
         state
             .runs
             .insert(run_id, slot, now, expected_end, alloc, flags);
-        state.running_gen += 1;
+        state.shadow_cache = None;
         true
     }
 
@@ -1468,29 +1404,33 @@ impl Simulation {
                 }
             }
             SchedulingPolicy::EasyBackfill => loop {
-                // Phase 0: when a previous pass proved this exact head
-                // blocked against this exact cluster state, skip the
+                // Phase 0: when a previous pass proved the head blocked
+                // and nothing has started, ended or churned since, skip the
                 // retry and the reservation arithmetic — only entries the
                 // proof has not reached yet (new arrivals) need scanning.
-                // A hit also proves no skipped entry needs re-estimation:
-                // feedback epochs move only with completions, which bump
-                // the running generation.
-                let cached = match (&state.shadow_cache, state.queue.front()) {
-                    (Some(c), Some(ref h))
-                        if c.job == h.job
-                            && c.demand == h.demand
-                            && c.running_gen == state.running_gen
-                            && c.structural == state.structural_epoch =>
+                let (shadow, scan_from) = if let Some(&ShadowCache { crossing, scanned }) =
+                    state.shadow_cache.as_ref()
+                {
+                    #[cfg(debug_assertions)]
                     {
-                        Some((c.crossing, c.scanned))
+                        let head = state
+                            .queue
+                            .front()
+                            .expect("invariant: a cached reservation has a blocked head");
+                        debug_assert_eq!(
+                            head.failed_alloc_stamp, state.clock,
+                            "cached reservation for a head not refused at this clock"
+                        );
+                        debug_assert_eq!(
+                            crossing.map(|t| t.max(now)),
+                            self.debug_shadow_time(state, &head.demand, head.nodes, now, matcher),
+                            "cached crossing diverged from shadow_time"
+                        );
                     }
-                    _ => None,
-                };
-                let (shadow, scan_from) = if let Some((crossing, scanned)) = cached {
                     let Some(t_cross) = crossing else {
                         // Still short of a drained cluster; only a
                         // completion or churn can change that, and either
-                        // would have missed the cache.
+                        // would have cleared the cache.
                         break;
                     };
                     (t_cross.max(now), scanned)
@@ -1505,37 +1445,26 @@ impl Simulation {
                         break;
                     }
                     // Phase 2: reservation for the blocked head, from the
-                    // incrementally maintained release table. Eligible
-                    // counts are cached per head demand: the epoch only
-                    // moves when the demand itself does.
+                    // incrementally maintained release table, which caches
+                    // eligible counts per head demand key.
                     let Some(head) = state.queue.front() else {
                         break;
                     };
                     let head_demand = head.demand;
-                    let head_job = head.job;
                     let head_nodes = head.nodes;
-                    // Prepare the matcher once for the head; its demand key
-                    // decides whether the eligible-count epoch moves, so a
-                    // vouched signature holds it still across raw demand
-                    // changes within one verdict class.
+                    // Prepare the matcher once for the head: the free count
+                    // and the eligible counts below reuse that program set.
                     matcher.prepare(&head_demand);
                     let key = DemandKey::of(matcher, &head_demand);
-                    if state.last_shadow_key != Some(key) {
-                        state.last_shadow_key = Some(key);
-                        state.shadow_demand_epoch += 1;
-                    }
                     let free_now = self
                         .cluster
                         .free_nodes_satisfying_matched(&head_demand, matcher);
                     let crossing = {
-                        let epoch = state.shadow_demand_epoch;
                         let runs = &state.runs;
                         let cluster = &self.cluster;
-                        // Prepared for `head_demand` by the free count above;
-                        // eligible counts below reuse that program set.
                         state
                             .release_table
-                            .crossing(free_now, head_nodes, epoch, |run_id| {
+                            .crossing(free_now, head_nodes, key, |run_id| {
                                 cluster.allocation_nodes_satisfying_matched(
                                     runs.alloc(run_id),
                                     &head_demand,
@@ -1546,33 +1475,15 @@ impl Simulation {
                     // The incremental path must agree with the historical
                     // rebuild-and-sort computation it replaced.
                     #[cfg(debug_assertions)]
-                    {
-                        let releases: Vec<(Time, u32)> = state
-                            .runs
-                            .iter_live()
-                            .map(|(end, alloc)| {
-                                let eligible = self.cluster.allocation_nodes_satisfying_matched(
-                                    alloc,
-                                    &head_demand,
-                                    matcher,
-                                );
-                                (end, eligible)
-                            })
-                            .collect();
-                        debug_assert_eq!(
-                            crossing.map(|t| t.max(now)),
-                            shadow_time(free_now, head_nodes, &releases, now),
-                            "incremental crossing diverged from shadow_time"
-                        );
-                    }
+                    debug_assert_eq!(
+                        crossing.map(|t| t.max(now)),
+                        self.debug_shadow_time(state, &head_demand, head_nodes, now, matcher),
+                        "incremental crossing diverged from shadow_time"
+                    );
                     // The scan resumes just past the head's physical slot
                     // (tombstones in between self-reject in the hunt).
                     let past_head = state.queue.head_idx() + 1;
                     state.shadow_cache = Some(ShadowCache {
-                        job: head_job,
-                        demand: head_demand,
-                        running_gen: state.running_gen,
-                        structural: state.structural_epoch,
                         crossing,
                         scanned: past_head,
                     });
@@ -1590,11 +1501,10 @@ impl Simulation {
                 // contiguous view of the queue — no per-element deque
                 // index arithmetic — with a `try_start_at` call per
                 // genuine candidate. The hunt rejects on the entry alone
-                // (window, retry stamp) and gates fresh entries on the
-                // epoch's free bound: a completion invalidates
-                // every retry stamp at once, and this keeps the resulting
-                // first pass from paying a full call per provably-refused
-                // entry.
+                // (window, refusal stamp) and gates fresh entries on the
+                // free bound: a completion invalidates every refusal stamp
+                // at once, and this keeps the resulting first pass from
+                // paying a full call per provably-refused entry.
                 let mut started = false;
                 let mut hunt_from = scan_from;
                 // The window the conservative completion must fit in;
@@ -1604,9 +1514,8 @@ impl Simulation {
                 let window = shadow.saturating_sub(now);
                 loop {
                     let candidate = {
-                        let epoch = state.retry_epoch;
+                        let clock = state.clock;
                         let structural = state.structural_epoch;
-                        let feedback = state.feedback_epoch;
                         let cluster = &self.cluster;
                         let memo = &mut state.free_memo;
                         let slots = &state.group_epoch_by_slot;
@@ -1622,20 +1531,20 @@ impl Simulation {
                             // slots carry `Time::MAX` runtimes and fail
                             // the window like everything else.
                             #[allow(clippy::needless_bitwise_bool)]
-                            if (rt > window) | (*stamp == epoch) {
+                            if (rt > window) | (*stamp == clock) {
                                 continue;
                             }
                             let q = &colds[off];
                             let needs_refresh = q.structural_stamp != structural
                                 || match q.scope_slot {
                                     SCOPE_STATIC => false,
-                                    SCOPE_GLOBAL => q.feedback_stamp != feedback,
+                                    SCOPE_GLOBAL => q.feedback_stamp != clock,
                                     slot => slots[slot as usize] > q.feedback_stamp,
                                 };
                             if !needs_refresh
-                                && q.nodes > memo.free_bound(epoch, cluster, &q.demand, matcher)
+                                && q.nodes > memo.free_bound(cluster, &q.demand, matcher)
                             {
-                                *stamp = epoch;
+                                *stamp = clock;
                                 continue;
                             }
                             found = Some(hunt_from + off);
@@ -1654,7 +1563,7 @@ impl Simulation {
                 }
                 if !started {
                     // Extend the proof over everything scanned: the next
-                    // pass under an unchanged key resumes after it. The
+                    // pass before any start, end or churn resumes after it. The
                     // position is physical — arrivals appended past it
                     // (and only those) are the unscanned tail.
                     if let Some(c) = state.shadow_cache.as_mut() {
@@ -1664,6 +1573,33 @@ impl Simulation {
                 }
             },
         }
+    }
+
+    /// The head's reservation rebuilt in full over the live
+    /// running set — the rebuild-and-sort reference the release table and
+    /// the shadow cache are cross-checked against in debug builds.
+    #[cfg(debug_assertions)]
+    fn debug_shadow_time<M: PoolMatcher + ?Sized>(
+        &self,
+        state: &RunState,
+        demand: &Demand,
+        nodes: u32,
+        now: Time,
+        matcher: &mut M,
+    ) -> Option<Time> {
+        matcher.prepare(demand);
+        let free_now = self.cluster.free_nodes_satisfying_matched(demand, matcher);
+        let releases: Vec<(Time, u32)> = state
+            .runs
+            .iter_live()
+            .map(|(end, alloc)| {
+                let eligible = self
+                    .cluster
+                    .allocation_nodes_satisfying_matched(alloc, demand, matcher);
+                (end, eligible)
+            })
+            .collect();
+        shadow_time(free_now, nodes, &releases, now)
     }
 }
 

@@ -5,14 +5,14 @@
 //!
 //! - the EASY backfill hunt re-scans the whole queue after every
 //!   completion, and nearly every entry is rejected by two cheap fields
-//!   (the conservative-runtime window and the retry stamp) — yet the
+//!   (the conservative-runtime window and the refusal stamp) — yet the
 //!   array-of-structs layout streamed all 96 bytes per entry through the
 //!   cache to read 16;
 //! - starting a mid-queue entry paid an O(queue) `VecDeque::remove`
 //!   memmove per backfill.
 //!
 //! This queue splits the entry into *hot* parallel columns — requested
-//! runtime and retry stamp, the two loads the hunt's fused reject needs —
+//! runtime and refusal stamp, the two loads the hunt's fused reject needs —
 //! and one *cold* column with everything else, touched only for the few
 //! entries that survive the reject. Removal tombstones the slot in O(1)
 //! instead of shifting (dead slots park a [`Time::MAX`] sentinel in the
@@ -21,9 +21,9 @@
 //! dead slots outnumber live ones.
 //!
 //! Physical indices are stable except across a start (tombstone +
-//! possible compaction) or a requeue at the head — exactly the events
-//! that already invalidate the engine's [`ShadowCache`] via the running
-//! generation, so the cache's saved scan positions never dangle.
+//! possible compaction) or a requeue at the head (which follows an
+//! execution end) — exactly the events at which the engine clears its
+//! [`ShadowCache`], so the cache's saved scan positions never dangle.
 //!
 //! SJF cannot tolerate tombstones: it locates entries by binary search on
 //! the queue rank (`seq`), which dead slots with stale ranks would break.
@@ -50,7 +50,8 @@ pub(crate) struct Queued {
     pub demand: Demand,
     /// Structural epoch (membership churn) the estimate was computed at.
     pub structural_stamp: u64,
-    /// Feedback epoch the estimate was computed at.
+    /// Engine clock value the estimate was computed at; feedback stamped
+    /// later stales it.
     pub feedback_stamp: u64,
     /// Demand is strictly below the request (memory or packages).
     pub lowered: bool,
@@ -65,8 +66,8 @@ pub(crate) struct Queued {
     /// The job's requested runtime, mirrored into a hot column so the
     /// backfill scan reads the queue sequentially.
     pub requested_runtime: Time,
-    /// Retry epoch at this entry's last refused allocation, or `u64::MAX`
-    /// if none; mirrored into a hot column.
+    /// Engine clock value at this entry's last refused allocation, or
+    /// `u64::MAX` if none; mirrored into a hot column.
     pub failed_alloc_stamp: u64,
     /// The job's node count, copied inline for the allocation attempt.
     pub nodes: u32,
@@ -103,7 +104,7 @@ const DEAD_RT: Time = Time::MAX;
 pub(crate) struct JobQueue {
     /// Hot: requested runtime per slot (`DEAD_RT` when tombstoned).
     rt: Vec<Time>,
-    /// Hot: retry-epoch stamp of the last refused allocation per slot.
+    /// Hot: clock stamp of the last refused allocation per slot.
     stamp: Vec<u64>,
     /// Cold: the rest of the entry.
     cold: Vec<ColdSlot>,
@@ -129,7 +130,8 @@ impl JobQueue {
     }
 
     /// Physical column length, including tombstones. Scan positions
-    /// (`ShadowCache::scanned`, the hunt cursor) are physical indices.
+    /// (`ShadowCache::scanned`, the hunt cursor) are physical indices,
+    /// valid until the next start or requeue — both clear the cache.
     pub(crate) fn phys_len(&self) -> usize {
         self.cold.len()
     }
@@ -189,9 +191,9 @@ impl JobQueue {
     }
 
     /// Record a refused allocation on the hot stamp column.
-    pub(crate) fn set_failed_stamp(&mut self, idx: usize, epoch: u64) {
+    pub(crate) fn set_failed_stamp(&mut self, idx: usize, clock: u64) {
         debug_assert!(!self.cold[idx].dead, "stamp on a tombstoned slot");
-        self.stamp[idx] = epoch;
+        self.stamp[idx] = clock;
     }
 
     /// Append at the back.
@@ -255,8 +257,8 @@ impl JobQueue {
     }
 
     /// Drop every dead slot, preserving live order. Callers run this only
-    /// on removal — i.e. a start — which already invalidates every saved
-    /// physical scan position via the engine's running generation.
+    /// on removal — i.e. a start — at which the engine already clears the
+    /// shadow cache and with it every saved physical scan position.
     fn compact(&mut self) {
         let mut w = 0;
         for r in 0..self.cold.len() {

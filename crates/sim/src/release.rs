@@ -6,10 +6,12 @@
 //! running set and sort it inside every pass; this table keeps the running
 //! jobs sorted by conservative completion time *incrementally* — O(running)
 //! memmove on start/finish instead of an O(R log R) rebuild per pass — and
-//! caches each running job's eligible-node count under a head-demand epoch
-//! so `allocation_nodes_satisfying_matched` is only re-walked when the head
-//! demand actually changed. The crossing walk early-exits at the release
-//! that satisfies the head, which the sort-then-scan shape never could.
+//! caches each running job's eligible-node count for the head's demand key
+//! so `allocation_nodes_satisfying_matched` is only re-walked when that key
+//! actually changed (a signature key holds the counts across raw demand
+//! changes within one verdict class). The crossing walk early-exits at the
+//! release that satisfies the head, which the sort-then-scan shape never
+//! could.
 //!
 //! The computed crossing time is exactly what [`crate::scheduler::shadow_time`]
 //! returns for the same multiset of releases: accumulation order among
@@ -19,16 +21,23 @@
 
 use resmatch_workload::Time;
 
+use crate::engine::DemandKey;
+
 /// Running jobs ordered by conservative completion time, with per-run
-/// eligible-node counts cached under a demand epoch.
+/// eligible-node counts cached for one demand key.
 #[derive(Debug, Default)]
 pub(crate) struct ReleaseTable {
     /// `(expected_end, run_id)`, ascending by time; ties keep insertion
     /// order (irrelevant to the crossing, deterministic anyway).
     entries: Vec<(Time, u64)>,
-    /// Per-run `(demand_epoch, eligible_count)`, indexed by run id. A
-    /// stamp that differs from the query epoch marks the count stale.
+    /// Per-run `(epoch, eligible_count)`, indexed by run id. A stamp that
+    /// differs from `epoch` marks the count stale.
     eligible: Vec<(u64, u32)>,
+    /// The demand key the counts stamped `epoch` were computed for.
+    key: Option<DemandKey>,
+    /// Bumped whenever `key` changes; starts at zero, which no count is
+    /// ever stamped valid under.
+    epoch: u64,
 }
 
 impl ReleaseTable {
@@ -36,6 +45,8 @@ impl ReleaseTable {
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.eligible.clear();
+        self.key = None;
+        self.epoch = 0;
     }
 
     /// Record a started execution. Run ids are recycled by the engine's
@@ -67,23 +78,27 @@ impl ReleaseTable {
     /// even a fully drained cluster does not.
     ///
     /// `eligible_of(run_id)` counts a running job's nodes that satisfy the
-    /// head demand; it is consulted only for entries whose cached count is
-    /// stale under `demand_epoch`, and only up to the crossing entry.
+    /// head demand, whose key is `key`; it is consulted only for entries
+    /// with no count cached for `key`, and only up to the crossing entry.
     pub(crate) fn crossing(
         &mut self,
         free_now: u32,
         needed: u32,
-        demand_epoch: u64,
+        key: DemandKey,
         mut eligible_of: impl FnMut(u64) -> u32,
     ) -> Option<Time> {
+        if self.key != Some(key) {
+            self.key = Some(key);
+            self.epoch += 1;
+        }
         if free_now >= needed {
             return Some(Time::ZERO);
         }
         let mut free = free_now;
         for &(time, run_id) in &self.entries {
             let slot = &mut self.eligible[run_id as usize];
-            if slot.0 != demand_epoch {
-                *slot = (demand_epoch, eligible_of(run_id));
+            if slot.0 != self.epoch {
+                *slot = (self.epoch, eligible_of(run_id));
             }
             free += slot.1;
             if free >= needed {
@@ -97,6 +112,9 @@ impl ReleaseTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const A: DemandKey = DemandKey::Class(1);
+    const B: DemandKey = DemandKey::Class(2);
 
     fn t(s: u64) -> Time {
         Time::from_secs(s)
@@ -113,39 +131,39 @@ mod tests {
         let counts = [2u32, 1, 3];
         // Need 4 with 1 free: crossing at 20. Need 7: crossing at 30.
         assert_eq!(
-            table.crossing(1, 4, 1, |id| counts[id as usize]),
+            table.crossing(1, 4, A, |id| counts[id as usize]),
             Some(t(20))
         );
         assert_eq!(
-            table.crossing(1, 7, 1, |id| counts[id as usize]),
+            table.crossing(1, 7, A, |id| counts[id as usize]),
             Some(t(30))
         );
         // Impossible demand: even a drained cluster is short.
-        assert_eq!(table.crossing(1, 10, 1, |id| counts[id as usize]), None);
+        assert_eq!(table.crossing(1, 10, A, |id| counts[id as usize]), None);
         // Already satisfiable now.
-        assert_eq!(table.crossing(4, 4, 1, |_| 0), Some(Time::ZERO));
+        assert_eq!(table.crossing(4, 4, A, |_| 0), Some(Time::ZERO));
     }
 
     #[test]
-    fn eligible_counts_cache_per_epoch() {
+    fn eligible_counts_cache_per_key() {
         let mut table = ReleaseTable::default();
         table.insert(t(10), 0);
         table.insert(t(20), 1);
         let mut calls = 0;
-        // First query at epoch 1 computes both counts.
+        // First query for key A computes both counts.
         assert_eq!(
-            table.crossing(0, 4, 1, |_| {
+            table.crossing(0, 4, A, |_| {
                 calls += 1;
                 2
             }),
             Some(t(20))
         );
         assert_eq!(calls, 2);
-        // Same epoch: fully served from cache.
-        assert_eq!(table.crossing(0, 4, 1, |_| unreachable!()), Some(t(20)));
-        // New epoch: recomputed.
+        // Same key: fully served from cache.
+        assert_eq!(table.crossing(0, 4, A, |_| unreachable!()), Some(t(20)));
+        // New key: recomputed.
         assert_eq!(
-            table.crossing(0, 2, 2, |_| {
+            table.crossing(0, 2, B, |_| {
                 calls += 1;
                 2
             }),
@@ -164,24 +182,24 @@ mod tests {
         let counts = [1u32, 99, 1];
         // Run 1 is gone: the two survivors must both release to reach 2.
         assert_eq!(
-            table.crossing(0, 2, 1, |id| counts[id as usize]),
+            table.crossing(0, 2, A, |id| counts[id as usize]),
             Some(t(10))
         );
-        assert_eq!(table.crossing(0, 3, 1, |id| counts[id as usize]), None);
+        assert_eq!(table.crossing(0, 3, A, |id| counts[id as usize]), None);
         table.remove(t(10), 0);
         table.remove(t(10), 2);
-        assert_eq!(table.crossing(0, 1, 2, |_| unreachable!()), None);
+        assert_eq!(table.crossing(0, 1, B, |_| unreachable!()), None);
     }
 
     #[test]
     fn recycled_run_id_invalidates_stale_count() {
         let mut table = ReleaseTable::default();
         table.insert(t(10), 0);
-        assert_eq!(table.crossing(0, 5, 1, |_| 5), Some(t(10)));
+        assert_eq!(table.crossing(0, 5, A, |_| 5), Some(t(10)));
         table.remove(t(10), 0);
-        // A new run reuses id 0 within the same demand epoch: the cached
+        // A new run reuses id 0 under the same demand key: the cached
         // count (5) belongs to the dead run and must not be reused.
         table.insert(t(30), 0);
-        assert_eq!(table.crossing(0, 2, 1, |_| 2), Some(t(30)));
+        assert_eq!(table.crossing(0, 2, A, |_| 2), Some(t(30)));
     }
 }

@@ -495,18 +495,16 @@ fn golden_fcfs_reinforcement_fault_injection() {
     check("fcfs_reinforcement_fault_injection", &r);
 }
 
-#[test]
-fn golden_fcfs_successive_churn_with_trace() {
-    // Dynamic membership: half the 24 MB pool leaves mid-trace and returns
-    // near the end. The trace log is rendered too, pinning every
-    // per-decision admission/start/completion — the strictest check here.
-    let w = base_workload();
+/// Dynamic membership over `w`'s submit span (512-node pools): half the
+/// 24 MB pool leaves at a quarter of the span, a quarter of the 32 MB pool
+/// at half, and both return by nine tenths.
+fn churn_schedule(w: &Workload) -> Vec<ChurnEvent> {
     let jobs = w.jobs();
     let t0 = jobs.first().map(|j| j.submit).unwrap_or(Time::ZERO);
     let t1 = jobs.last().map(|j| j.submit).unwrap_or(Time::ZERO);
     let span_ms = t1.saturating_sub(t0).as_millis();
     let at = |frac: f64| t0 + Time::from_millis((span_ms as f64 * frac) as u64);
-    let churn = vec![
+    vec![
         ChurnEvent {
             time: at(0.25),
             mem_kb: 24 * 1024,
@@ -527,16 +525,68 @@ fn golden_fcfs_successive_churn_with_trace() {
             mem_kb: 32 * 1024,
             delta: 128,
         },
-    ];
+    ]
+}
+
+#[test]
+fn golden_fcfs_successive_churn_with_trace() {
+    // The trace log is rendered too, pinning every per-decision
+    // admission/start/completion — the strictest check here.
+    let w = base_workload();
     let r = Simulation::builder()
         .cluster(paper_cluster(24))
         .estimator(EstimatorSpec::paper_successive())
-        .churn(churn.clone())
+        .churn(churn_schedule(&w))
         .trace_log()
         .build()
         .expect("cluster and estimator are set")
         .run(&w);
     check("fcfs_successive_churn_with_trace", &r);
+}
+
+/// Pinned digest of EASY backfill + successive estimation under churn:
+/// membership changes invalidate the reservation and every queued
+/// estimate while the backfill scan is mid-flight.
+#[test]
+fn golden_easy_successive_churn_hash_pinned() {
+    let w = base_workload();
+    let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::EasyBackfill);
+    let r = Simulation::new(cfg, paper_cluster(24), EstimatorSpec::paper_successive())
+        .with_churn(churn_schedule(&w))
+        .run(&w);
+    check_pinned("easy_successive_churn", 0x032a_15ed_3fc6_cd25, &r);
+}
+
+/// Pinned digest of EASY backfill + the reinforcement estimator under
+/// churn: its Global scope re-estimates every queued entry after any
+/// feedback, so this pins Global-scope staleness across churn.
+#[test]
+fn golden_easy_reinforcement_churn_hash_pinned() {
+    use resmatch_core::reinforcement::ReinforcementConfig;
+    let w = base_workload();
+    let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::EasyBackfill);
+    let r = Simulation::new(
+        cfg,
+        paper_cluster(24),
+        EstimatorSpec::Reinforcement(ReinforcementConfig::default()),
+    )
+    .with_churn(churn_schedule(&w))
+    .run(&w);
+    check_pinned("easy_reinforcement_churn", 0xf9d4_0cf0_6292_5eb2, &r);
+}
+
+/// Pinned digest of the `matchmaking_easy_successive` scenario under
+/// churn: signature-keyed memos across membership changes.
+#[test]
+fn golden_matchmaking_easy_churn_hash_pinned() {
+    let w = matchmaking_workload();
+    let (cluster, ads) = matchmaking_cluster_ads();
+    let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::EasyBackfill);
+    let r = Simulation::new(cfg, cluster, EstimatorSpec::paper_successive())
+        .with_matchmaking(Box::new(resmatch_classad::Matchmaker::new(&ads)))
+        .with_churn(churn_schedule(&w))
+        .run(&w);
+    check_pinned("matchmaking_easy_churn", 0x1651_d2df_8264_df68, &r);
 }
 
 #[test]

@@ -129,6 +129,26 @@ fn arb_policy() -> impl Strategy<Value = SchedulingPolicy> {
     ]
 }
 
+/// Up to five membership changes over the generated submit span, on any
+/// of the three pools. A leave takes only free nodes and a rejoin only
+/// departed ones, so every schedule is valid; an empty one runs without
+/// churn.
+fn arb_churn() -> impl Strategy<Value = Vec<ChurnEvent>> {
+    prop::collection::vec(
+        (
+            0u64..6_000,
+            prop_oneof![Just(32u64), Just(24u64), Just(8u64)],
+            -8i64..=8,
+        )
+            .prop_map(|(time_s, mem_mb, delta)| ChurnEvent {
+                time: Time::from_secs(time_s),
+                mem_kb: mem_mb * MB,
+                delta,
+            }),
+        0..6,
+    )
+}
+
 fn cluster() -> resmatch_cluster::Cluster {
     ClusterBuilder::new()
         .pool(8, 32 * MB)
@@ -189,9 +209,17 @@ proptest! {
     }
 
     #[test]
-    fn simulation_is_deterministic(specs in arb_jobs(), spec in arb_spec()) {
+    fn simulation_is_deterministic(
+        specs in arb_jobs(),
+        spec in arb_spec(),
+        churn in arb_churn(),
+    ) {
         let w = workload(&specs);
-        let run = || Simulation::new(SimConfig::default(), cluster(), spec).run(&w);
+        let run = || {
+            Simulation::new(SimConfig::default(), cluster(), spec)
+                .with_churn(churn.clone())
+                .run(&w)
+        };
         prop_assert_eq!(run(), run());
     }
 
@@ -241,6 +269,7 @@ proptest! {
         spec in arb_spec(),
         policy in arb_policy(),
         explicit in any::<bool>(),
+        churn in arb_churn(),
     ) {
         // A dirty arena (left behind by a run over a *different* workload)
         // must not perturb a later run: reused buffers are cleared, never
@@ -252,10 +281,11 @@ proptest! {
             .with_feedback(if explicit { FeedbackMode::Explicit } else { FeedbackMode::Implicit });
         let wa = workload(&specs_a);
         let wb = workload(&specs_b);
-        let fresh = Simulation::new(cfg, cluster(), spec).run(&wb);
+        let sim = || Simulation::new(cfg, cluster(), spec).with_churn(churn.clone());
+        let fresh = sim().run(&wb);
         let mut arena = SimArena::default();
-        let _ = Simulation::new(cfg, cluster(), spec).run_with_arena(&wa, &mut arena);
-        let reused = Simulation::new(cfg, cluster(), spec).run_with_arena(&wb, &mut arena);
+        let _ = sim().run_with_arena(&wa, &mut arena);
+        let reused = sim().run_with_arena(&wb, &mut arena);
         prop_assert_eq!(reused, fresh);
     }
 
@@ -264,14 +294,15 @@ proptest! {
         specs in arb_jobs(),
         spec in arb_spec(),
         policy in arb_policy(),
+        churn in arb_churn(),
     ) {
         // Feeding jobs one at a time through the streaming entry point is
         // indistinguishable from handing over the whole trace.
         let w = workload(&specs);
         let cfg = SimConfig::default().with_scheduling(policy);
-        let batch = Simulation::new(cfg, cluster(), spec).run(&w);
-        let streamed = Simulation::new(cfg, cluster(), spec)
-            .run_stream(w.jobs().iter().cloned());
+        let sim = || Simulation::new(cfg, cluster(), spec).with_churn(churn.clone());
+        let batch = sim().run(&w);
+        let streamed = sim().run_stream(w.jobs().iter().cloned());
         prop_assert_eq!(streamed, batch);
     }
 
